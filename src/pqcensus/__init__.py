@@ -32,7 +32,7 @@ from pqcensus.genfunc import (
     gf_odd,
     gf_triangle,
 )
-from pqcensus.recurrence import LinRec, fibonacci_check, rec_eval, rec_from_gf
+from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 from pqcensus.oracle import (
     BudgetExceeded,
     BadSymbol,
@@ -46,7 +46,7 @@ from pqcensus.oracle import (
     classify,
     dump_map,
 )
-from pqcensus.asymptotics import GrowthInfo, NoRootFound, growth, palindrome_check, ratio_probe
+from pqcensus.asymptotics import GrowthInfo, NoRootFound, growth, palindrome_check
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "LinRec",
     "rec_from_gf",
     "rec_eval",
-    "fibonacci_check",
     "PlanarMap",
     "CensusReport",
     "VertexProfile",
@@ -90,6 +89,5 @@ __all__ = [
     "NoRootFound",
     "growth",
     "palindrome_check",
-    "ratio_probe",
     "__version__",
 ]

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from pqcensus.genfunc import Schlafli
 from pqcensus.polyarith import IntPoly, RationalGF
-from pqcensus.recurrence import LinRec, rec_eval
 
 HYPERBOLIC = "HYPERBOLIC"
 EUCLIDEAN = "EUCLIDEAN"
@@ -112,11 +111,3 @@ def palindrome_check(q: IntPoly) -> bool:
     if q.is_zero:
         raise ValueError("the zero polynomial has no palindrome status")
     return q.coeffs == q.coeffs[::-1]
-
-
-def ratio_probe(rec: LinRec, n: int) -> float:
-    """Empirical growth probe v(n)/v(n-1), computed from exact integers."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    v = rec_eval(rec, n)
-    return float(Fraction(v[n], v[n - 1]))

@@ -14,16 +14,20 @@ Four subcommands, all deterministic and machine-readable:
 object), csv (header plus rows), plain (labelled lines).  Large integers
 are serialized as decimal strings in JSON so nothing is rounded.
 
-Exit codes: 0 success, 1 usage, 2 symbol out of scope, 3 verification
-mismatch, 4 structure violation.
+Exit codes: 0 success, 1 usage (with a one-line message on stderr), 2 symbol
+out of scope, 3 verification mismatch, 4 structure violation.  Errors with
+codes 2 and 4 are emitted as records in the chosen format.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+from typing import NoReturn
 
 from pqcensus import asymptotics, oracle
 from pqcensus.genfunc import (
@@ -64,14 +68,22 @@ def _parse_p(text: str):
         raise argparse.ArgumentTypeError(f"p must be an integer or 'inf', got {text!r}")
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"pqcensus: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return oracle.DEFAULT_VERTEX_BUDGET
+    if not raw:
+        return oracle.DEFAULT_VERTEX_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        _usage_error(f"${BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +124,13 @@ def _symbol_json(s: Schlafli) -> dict:
 
 
 def _ints(xs) -> list[str]:
-    return [str(x) for x in xs]
+    try:
+        return [str(x) for x in xs]
+    except ValueError:  # str(int) raises only past sys.get_int_max_str_digits()
+        _usage_error(
+            f"a term has more than {sys.get_int_max_str_digits()} digits, the interpreter's "
+            "int-to-str limit; set PYTHONINTMAXSTRDIGITS=0 to print it"
+        )
 
 
 def record_genfunc(cgf: CensusGF) -> dict:
@@ -221,6 +239,12 @@ def _emit_csv(rec: dict) -> str:
     # one table per record kind: series tables when present, otherwise a
     # single row of the scalar fields
     lines = []
+    if "error" in rec:
+        # one row; the message may hold commas, so the row is quoted
+        row = {"error": rec["error"], "message": rec["message"], **rec.get("symbol", {})}
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([row.keys(), row.values()])
+        return buf.getvalue()
     if "series" in rec:
         types = rec.get("types")
         header = "n,v" + (",a,b,c" if types else "")
@@ -260,20 +284,23 @@ _EMITTERS = {"json": _emit_json, "plain": _emit_plain, "csv": _emit_csv}
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     emit = _EMITTERS[args.format]
+    if args.command == "census" and args.n < 0:
+        _usage_error(f"n must be >= 0, got {args.n}")
+    if args.command == "verify":
+        if args.depth < 0:
+            _usage_error(f"--depth must be >= 0, got {args.depth}")
+        if args.budget is not None and args.budget < 1:
+            _usage_error(f"--budget must be a positive integer, got {args.budget}")
+        budget = args.budget if args.budget is not None else _default_budget()
     try:
         cgf = derive(Schlafli(args.p, args.q))
         if args.command == "genfunc":
             rec, code = record_genfunc(cgf), EXIT_OK
         elif args.command == "census":
-            if args.n < 0:
-                raise SystemExit(EXIT_USAGE)
             rec, code = record_census(cgf, args.n, args.types), EXIT_OK
         elif args.command == "asym":
             rec, code = record_asym(cgf), EXIT_OK
         else:
-            budget = args.budget if args.budget is not None else _default_budget()
-            if args.depth < 0:
-                raise SystemExit(EXIT_USAGE)
             rec, code = record_verify(cgf, args.depth, budget, args.dump_map)
     except (SphericalOutOfScope, BadDegree, BadShape, BadSymbol) as exc:
         err = {

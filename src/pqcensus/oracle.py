@@ -21,12 +21,21 @@ Census trust: a vertex is saturated when all q of its faces are closed
 (for the tree case p = infinity, when all q edges are present).  The
 report covers generation n only if every vertex at distance <= n is
 saturated; generation zero is always exact.  Counts past that horizon are
-withheld rather than reported partially.
+withheld rather than reported partially.  The census BFS therefore stops at
+the first generation holding an unsaturated vertex: it visits only the ball
+one generation past the trusted depth, not the whole face closure the
+builder had to create around it (for {8,8} at depth 5, about 22 thousand of
+780 thousand vertices).  ``classify`` reuses that BFS; ``dump_map`` and
+``distances`` run a full one.
 
-Half-edge conventions: half-edges are allocated in twin pairs, so
-twin(h) = h ^ 1.  ``next`` points along the incident face cycle (closed
-faces and the outer boundary both form cycles); rotation around a vertex
-falls out as twin(prev(h)).
+Storage is flat: a few lists indexed by half-edge id (origin, next, prev)
+and a few indexed by vertex id (degree, closed faces, boundary half-edge,
+any half-edge), with no container object per vertex or per face.
+Adjacency is not stored separately; a vertex's neighbors are read off the
+rotation system.  Half-edge conventions: half-edges are allocated in twin
+pairs, so twin(h) = h ^ 1.  ``next`` points along the incident face cycle
+(closed faces and the outer boundary both form cycles); rotation around a
+vertex falls out as twin(prev(h)).
 """
 
 from __future__ import annotations
@@ -36,8 +45,6 @@ from dataclasses import dataclass, replace
 from pqcensus.genfunc import INFINITY, Schlafli
 
 DEFAULT_VERTEX_BUDGET = 200_000
-
-_OPEN = -1  # face id of the unbounded region
 
 
 class BadSymbol(ValueError):
@@ -102,22 +109,28 @@ class CensusReport:
 
 
 class PlanarMap:
-    """Growable half-edge map of a {p,q} disk (or of the q-regular tree)."""
+    """Growable half-edge map of a {p,q} disk (or of the q-regular tree).
+
+    All state lives in flat lists indexed by half-edge or vertex id.  The
+    neighbors of a vertex are read off the rotation system (the ``next``/
+    ``prev`` cycles) rather than stored a second time.
+    """
 
     def __init__(self, symbol: Schlafli):
         self.symbol = symbol
         self._he_origin: list[int] = []
         self._he_next: list[int] = []
         self._he_prev: list[int] = []
-        self._he_face: list[int] = []
         self._faces: list[int] = []  # one half-edge per closed face
-        self._adj: list[list[int]] = [[]]
         self._v_deg: list[int] = [0]
         self._v_faces: list[int] = [0]
         self._v_bhe: list[int] = [-1]  # outgoing boundary half-edge, -1 if none
         self._v_half: list[int] = [-1]  # any outgoing half-edge
         self._outer = -1
-        self._dist_cache: list[int] | None = None
+        # BFS results, each tagged with the half-edge count it was taken at
+        # (every mutation adds half-edges, so a stale entry is recognized)
+        self._dist_cache: tuple[int, list[int]] | None = None
+        self._horizon_cache: tuple[int, int, list[int], list[list[int]]] | None = None
 
     # -- read-only surface ------------------------------------------------
 
@@ -149,7 +162,7 @@ class PlanarMap:
         return self._v_faces[v] == self.symbol.q
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self._adj[v])
+        return self.rotation(v)
 
     def twin(self, h: int) -> int:
         return h ^ 1
@@ -160,27 +173,20 @@ class PlanarMap:
     def head_of(self, h: int) -> int:
         return self._he_origin[h ^ 1]
 
-    def face_of(self, h: int) -> int:
-        return self._he_face[h]
-
-    def face_next(self, h: int) -> int:
-        return self._he_next[h]
-
     def rotation(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in cyclic order around it, from the embedding."""
         h0 = self._v_half[v]
         if h0 < 0:
             return ()
+        origin, prv = self._he_origin, self._he_prev
         out = []
         h = h0
-        while True:
-            out.append(self._he_origin[h ^ 1])
-            h = self._he_prev[h] ^ 1
+        for _ in range(self._v_deg[v]):
+            out.append(origin[h ^ 1])
+            h = prv[h] ^ 1
             if h == h0:
-                break
-            if len(out) > self._v_deg[v]:
-                raise RuntimeError(f"rotation walk around {v} does not close")
-        return tuple(out)
+                return tuple(out)
+        raise RuntimeError(f"rotation walk around {v} does not close")
 
     def face_vertices(self, f: int) -> tuple[int, ...]:
         """Vertices of closed face f in cycle order."""
@@ -211,35 +217,79 @@ class PlanarMap:
                 raise RuntimeError("boundary walk does not close")
         return out
 
-    def distances(self) -> list[int]:
+    def distances(self, cap: int | None = None) -> list[int]:
         """Graph distance from the origin for every vertex (frontier BFS).
 
-        The result is cached until the map grows again; treat it as
-        read-only.
+        With ``cap``, vertices farther than cap stay at -1.  The uncapped
+        result is cached until the map grows again; treat it as read-only.
         """
-        if self._dist_cache is not None and len(self._dist_cache) == self.vertex_count:
-            return self._dist_cache
+        if cap is not None:
+            return self._bfs(cap)[0]
+        if self._dist_cache is None or self._dist_cache[0] != self.half_edge_count:
+            self._dist_cache = (self.half_edge_count, self._bfs()[0])
+        return self._dist_cache[1]
+
+    # -- breadth-first search ---------------------------------------------
+
+    def _unsaturated_in(self, level: list[int]) -> bool:
+        sat = self._v_deg if self.symbol.is_tree else self._v_faces
+        return min(map(sat.__getitem__, level)) < self.symbol.q
+
+    def _bfs(self, cap: int | None = None, horizon: bool = False) -> tuple[list[int], list[list[int]]]:
+        """Generation-by-generation BFS from the origin: (dist, levels).
+
+        Stops after generation ``cap`` (no cap when None) or, with
+        ``horizon``, after the first generation holding an unsaturated
+        vertex.  ``levels[d]`` lists generation d in discovery order;
+        vertices never reached keep distance -1.
+        """
+        origin, prv, half = self._he_origin, self._he_prev, self._v_half
         dist = [-1] * self.vertex_count
         dist[0] = 0
-        frontier = [0]
-        adj = self._adj
+        level = [0]
+        levels = [level]
         d = 0
-        while frontier:
+        # a bare origin has no half-edge to walk
+        while origin and (cap is None or d < cap) and not (horizon and self._unsaturated_in(level)):
             d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
+            grown = []
+            for v in level:
+                # walk the rotation around v: twin(prev(h)) is the next
+                # outgoing half-edge
+                h0 = h = half[v]
+                while True:
+                    w = origin[h ^ 1]
                     if dist[w] < 0:
                         dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        self._dist_cache = dist
-        return dist
+                        grown.append(w)
+                    h = prv[h] ^ 1
+                    if h == h0:
+                        break
+            if not grown:
+                break
+            levels.append(grown)
+            level = grown
+        return dist, levels
+
+    def _horizon(self) -> tuple[int, list[int], list[list[int]]]:
+        """Trusted depth t with the BFS that found it: (t, dist, levels).
+
+        The BFS stops at the first generation holding an unsaturated vertex,
+        so it labels exactly ball(t + 1) (ball(0) for an unsaturated origin).
+        Cached until the map grows again.
+        """
+        key = self.half_edge_count
+        if self._horizon_cache is None or self._horizon_cache[0] != key:
+            dist, levels = self._bfs(horizon=True)
+            t = len(levels) - 1
+            if self._unsaturated_in(levels[-1]):
+                t = max(0, t - 1)
+            self._horizon_cache = (key, t, dist, levels)
+        return self._horizon_cache[1:]
 
     # -- construction internals -------------------------------------------
 
     def _new_vertex(self) -> int:
-        self._adj.append([])
         self._v_deg.append(0)
         self._v_faces.append(0)
         self._v_bhe.append(-1)
@@ -251,9 +301,6 @@ class PlanarMap:
         self._he_origin.extend((u, w))
         self._he_next.extend((-1, -1))
         self._he_prev.extend((-1, -1))
-        self._he_face.extend((_OPEN, _OPEN))
-        self._adj[u].append(w)
-        self._adj[w].append(u)
         self._v_deg[u] += 1
         self._v_deg[w] += 1
         if self._v_half[u] < 0:
@@ -274,7 +321,6 @@ class PlanarMap:
         for i in range(p):
             self._he_next[cs[i]] = cs[(i + 1) % p]
             self._he_prev[cs[(i + 1) % p]] = cs[i]
-            self._he_face[cs[i]] = 0
         ts = [h ^ 1 for h in cs]  # ts[i] runs cyc[i+1] -> cyc[i]
         for i in range(p):
             self._he_next[ts[i]] = ts[i - 1]
@@ -287,9 +333,8 @@ class PlanarMap:
     def _attach_face(self, v: int, budget: int | None):
         """Glue one new p-gon into the open gap behind boundary vertex v."""
         p, q = self.symbol.p, self.symbol.q
-        faces = self._v_faces
+        faces, deg = self._v_faces, self._v_deg
         origin = self._he_origin
-        adj = self._adj
         nxt, prv = self._he_next, self._he_prev
         h_out = self._v_bhe[v]
         if h_out < 0:
@@ -311,93 +356,50 @@ class PlanarMap:
         if len(set(verts)) != k + 1:
             raise RuntimeError("glue run self-intersects; disk invariant broken")
         u0, uk = verts[0], verts[-1]
-        if budget is not None and m > 0 and self.vertex_count + m > budget:
-            dist = self.distances()
-            raise BudgetExceeded(self._trusted(dist), self.vertex_count, self)
-        if m == 0 and u0 in adj[uk]:
+        nv0 = len(deg)
+        if budget is not None and m > 0 and nv0 + m > budget:
+            raise BudgetExceeded(self._horizon()[0], nv0, self)
+        if m == 0 and u0 in self.rotation(uk):
             raise RuntimeError("closing chord already present; map would lose simplicity")
         before, after = prv[run[0]], nxt[run[-1]]
-        f = len(self._faces)
         self._faces.append(run[0])
-        # new vertices and edges in one batch: chain = uk, w_1 .. w_m, u0
-        nv0 = len(self._v_deg)
-        chain = [uk] + list(range(nv0, nv0 + m)) + [u0]
-        if m:
-            adj.extend([] for _ in range(m))
-            self._v_deg.extend([2] * m)
-            self._v_faces.extend([1] * m)
-            self._v_bhe.extend([-1] * m)
-            self._v_half.extend([-1] * m)
+        # New path uk, w_1 .. w_m, u0 with w_j = nv0 + j - 1.  Its edge i
+        # joins chain[i] and chain[i + 1]: half-edge cs[i] runs forward
+        # along the new face, its twin ts[i] backward along the boundary.
+        # Every new id is created once here and shared by all lists below.
+        chain = [uk, *range(nv0, nv0 + m), u0]
         h0 = len(origin)
-        n_edges = p - k
-        cs = range(h0, h0 + 2 * n_edges, 2)
-        origins = []
-        for i in range(n_edges):
-            a, b = chain[i], chain[i + 1]
-            origins.append(a)
-            origins.append(b)
-            adj[a].append(b)
-            adj[b].append(a)
-        origin.extend(origins)
-        self._he_face.extend([f, _OPEN] * n_edges)
-        nxt.extend([-1] * (2 * n_edges))
-        prv.extend([-1] * (2 * n_edges))
-        self._v_deg[uk] += 1
-        self._v_deg[u0] += 1
-        cycle = run + list(cs)
-        prev_e = cycle[-1]
-        for e in cycle:
-            nxt[prev_e] = e
-            prv[e] = prev_e
-            self._he_face[e] = f
-            prev_e = e
-        ts = [e ^ 1 for e in cs]
-        outer_prev = before
-        for t in reversed(ts):
-            nxt[outer_prev] = t
-            prv[t] = outer_prev
-            outer_prev = t
-        nxt[outer_prev] = after
-        prv[after] = outer_prev
+        he = list(range(h0, h0 + 2 * (m + 1)))
+        cs, ts = he[0::2], he[1::2]
+        origin += he  # reserve the slots, then fill even and odd ids
+        origin[h0::2] = chain[:-1]
+        origin[h0 + 1::2] = chain[1:]
+        # face cycle run..., cs...; boundary before, ts[-1] .. ts[0], after
+        nxt += he
+        nxt[h0::2] = cs[1:] + run[:1]
+        nxt[h0 + 1::2] = [after] + ts[:-1]
+        prv += he
+        prv[h0::2] = run[-1:] + cs[:-1]
+        prv[h0 + 1::2] = ts[1:] + [before]
+        nxt[run[-1]] = cs[0]
+        prv[run[0]] = cs[-1]
+        nxt[before] = ts[-1]
+        prv[after] = ts[0]
+        deg += [2] * m
+        deg[uk] += 1
+        deg[u0] += 1
+        faces += [1] * m
         for w in verts:
             faces[w] += 1
+        bhe = self._v_bhe
         for w in verts[1:-1]:
-            if faces[w] != q or self._v_deg[w] != q:
+            if faces[w] != q or deg[w] != q:
                 raise RuntimeError(f"swallowed vertex {w} ended unsaturated")
-            self._v_bhe[w] = -1
-        self._v_bhe[u0] = ts[-1]
-        for j in range(m):
-            w = nv0 + j
-            self._v_bhe[w] = ts[j]
-            self._v_half[w] = ts[j]
+            bhe[w] = -1
+        bhe[u0] = ts[-1]
+        bhe += ts[:m]
+        self._v_half += ts[:m]
         self._outer = ts[0]
-
-    def _trusted(self, dist: list[int]) -> int:
-        t = None
-        for v, d in enumerate(dist):
-            if not self.is_saturated(v) and (t is None or d < t):
-                t = d
-        if t is None:
-            return max(dist)
-        return max(0, t - 1)
-
-    def _distances_within(self, cap: int) -> list[int]:
-        """BFS truncated past distance cap; farther vertices stay at -1."""
-        dist = [-1] * self.vertex_count
-        dist[0] = 0
-        frontier = [0]
-        adj = self._adj
-        d = 0
-        while frontier and d < cap:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
 
     def _grow(self, depth: int, budget: int | None):
         q = self.symbol.q
@@ -407,14 +409,10 @@ class PlanarMap:
             self._bootstrap()
         faces = self._v_faces
         for _ in range(depth + 10):
-            dist = self._distances_within(depth)
-            targets = [
-                v for v in range(self.vertex_count)
-                if dist[v] >= 0 and faces[v] < q
-            ]
+            # unsaturated vertices within depth, nearest first, then by id
+            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if faces[v] < q]
             if not targets:
                 return
-            targets.sort(key=dist.__getitem__)
             for v in targets:
                 while faces[v] < q:
                     self._attach_face(v, budget)
@@ -471,38 +469,40 @@ def build_tree(q: int, depth: int) -> PlanarMap:
 
 
 def bfs_census(m: PlanarMap) -> CensusReport:
-    """Count vertices per generation out to the saturation horizon."""
-    dist = m.distances()
-    trusted = m._trusted(dist)
-    counts = [0] * (trusted + 1)
-    for d in dist:
-        if d <= trusted:
-            counts[d] += 1
-    return CensusReport(m.symbol, trusted, tuple(counts))
+    """Count vertices per generation out to the saturation horizon.
+
+    The BFS stops at the first generation holding an unsaturated vertex, so
+    it visits only the ball one generation past the trusted depth, not the
+    whole face closure the builder created around it.
+    """
+    trusted, _, levels = m._horizon()
+    return CensusReport(m.symbol, trusted, tuple(len(level) for level in levels[: trusted + 1]))
 
 
 def vertex_profile(m: PlanarMap, v: int, dist: list[int] | None = None) -> VertexProfile:
     """Parent/child/sibling/cousin census of v's neighborhood.
 
     Same-generation neighbors sharing a parent with v are fraternal
-    (siblings); the rest are consortial (cousins).
+    (siblings); the rest are consortial (cousins).  ``dist`` may come from a
+    truncated BFS: a neighbor it never reached lies past v's generation and
+    counts as a child, never as a parent.
     """
     if dist is None:
         dist = m.distances()
-    adj = m._adj
     d = dist[v]
     parents = children = fraternal = consortial = 0
     pset = None
-    for w in adj[v]:
+    nbrs = m.rotation(v)
+    for w in nbrs:
         dw = dist[w]
-        if dw < d:
-            parents += 1
-        elif dw > d:
+        if dw < 0 or dw > d:
             children += 1
+        elif dw < d:
+            parents += 1
         else:
             if pset is None:
-                pset = {x for x in adj[v] if dist[x] == d - 1}
-            if any(x in pset for x in adj[w] if dist[x] == d - 1):
+                pset = {x for x in nbrs if dist[x] == d - 1}
+            if any(x in pset for x in m.rotation(w) if dist[x] == d - 1):
                 fraternal += 1
             else:
                 consortial += 1
@@ -541,19 +541,21 @@ def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
     """Fill the per-class generation counts of a census report.
 
     Every non-origin vertex inside the trusted horizon must match one of
-    the expected profiles; anything else raises StructureViolation.
+    the expected profiles; anything else raises StructureViolation.  Reuses
+    the census BFS of ``bfs_census``, which labels every neighbor of the
+    trusted region.
     """
-    dist = m.distances()
+    trusted, dist, levels = m._horizon()
     t = report.trusted_depth
+    if t > trusted:
+        raise ValueError(f"report trusts depth {t}, but the map is saturated only to depth {trusted}")
     a = [0] * (t + 1)
     b = [0] * (t + 1)
     c = [0] * (t + 1)
     buckets = {"A": a, "B": b, "C": c}
-    for v in range(m.vertex_count):
-        d = dist[v]
-        if d == 0 or d > t:
-            continue
-        buckets[_type_of(m, v, dist)][d] += 1
+    for d in range(1, t + 1):
+        for v in levels[d]:
+            buckets[_type_of(m, v, dist)][d] += 1
     return replace(report, a=tuple(a), b=tuple(b), c=tuple(c))
 
 
@@ -561,7 +563,7 @@ def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:
     """Line-oriented adjacency dump: one vertex per line with generation,
     class tag, degree and neighbors in rotation order."""
     dist = m.distances()
-    trusted = report.trusted_depth if report is not None else m._trusted(dist)
+    trusted = report.trusted_depth if report is not None else m._horizon()[0]
     p = "inf" if m.symbol.is_tree else str(m.symbol.p)
     lines = [
         f"# map p={p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={trusted}",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pqcensus.genfunc import derive, Schlafli
 from pqcensus.polyarith import RationalGF, series_coeffs
 
 
@@ -50,29 +49,3 @@ def rec_eval(rec: LinRec, n_max: int) -> list[int]:
     for n in range(len(out), n_max + 1):
         out.append(sum(cs[i - 1] * out[n - i] for i in range(1, d + 1)))
     return out
-
-
-_FIBONACCI_SYMBOLS = {
-    5: (4, 5),
-    4: (6, 4),
-    7: (3, 7),
-}
-
-
-def fibonacci_check(q0: int, n_max: int) -> bool:
-    """Check v(n) = q * F(2n) for the three censuses one step past Euclidean.
-
-    ``q0`` selects the symbol by its vertex degree: 5 -> {4,5}, 4 -> {6,4},
-    7 -> {3,7}.  Fibonacci numbers are computed independently from the
-    definition F(0)=0, F(1)=1, F(m)=F(m-1)+F(m-2).
-    """
-    if q0 not in _FIBONACCI_SYMBOLS:
-        raise ValueError(f"no Fibonacci census for q0={q0!r}; expected one of 5, 4, 7")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    p, q = _FIBONACCI_SYMBOLS[q0]
-    v = rec_eval(rec_from_gf(derive(Schlafli(p, q)).v), n_max)
-    fib = [0, 1]
-    while len(fib) <= 2 * n_max:
-        fib.append(fib[-1] + fib[-2])
-    return all(v[n] == q * fib[2 * n] for n in range(1, n_max + 1))

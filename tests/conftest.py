@@ -1,9 +1,14 @@
-"""Shared helpers: admissible-symbol grids and planar-map structure audits."""
+"""Shared helpers: admissible-symbol grids, planar-map structure audits, and
+reference implementations that the library itself does not need."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from pqcensus import INFINITY, Schlafli
-from pqcensus.oracle import PlanarMap
+from pqcensus.genfunc import derive
+from pqcensus.oracle import CensusReport, PlanarMap, _type_of
+from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
 
 def admissible_symbols(ps, qs):
@@ -115,3 +120,62 @@ def latest_vertex_face_audit(m: PlanarMap, trusted: int, types: dict[int, str]):
     for v, tag in types.items():
         if tag == "B":
             assert hits.get(v, 0) == 1, f"type-B vertex {v} closes {hits.get(v, 0)} faces"
+
+
+def reference_census(m: PlanarMap) -> CensusReport:
+    """Census and classes from a BFS over the whole map.
+
+    The trusted depth is one less than the nearest unsaturated vertex's
+    distance (the full distance range when there is none); every vertex
+    of the map is scanned.  ``bfs_census`` + ``classify`` stop their BFS at
+    that horizon and must agree with this exactly.
+    """
+    dist = m.distances()
+    t = None
+    for v, d in enumerate(dist):
+        if not m.is_saturated(v) and (t is None or d < t):
+            t = d
+    trusted = max(dist) if t is None else max(0, t - 1)
+    counts = {k: [0] * (trusted + 1) for k in "vABC"}
+    for v, d in enumerate(dist):
+        if d <= trusted:
+            counts["v"][d] += 1
+            if d > 0:
+                counts[_type_of(m, v, dist)][d] += 1
+    return CensusReport(
+        m.symbol, trusted, *(tuple(counts[k]) for k in "vABC")
+    )
+
+
+_FIBONACCI_SYMBOLS = {
+    5: (4, 5),
+    4: (6, 4),
+    7: (3, 7),
+}
+
+
+def fibonacci_check(q0: int, n_max: int) -> bool:
+    """Check v(n) = q * F(2n) for the three censuses one step past Euclidean.
+
+    ``q0`` selects the symbol by its vertex degree: 5 -> {4,5}, 4 -> {6,4},
+    7 -> {3,7}.  Fibonacci numbers are computed independently from the
+    definition F(0)=0, F(1)=1, F(m)=F(m-1)+F(m-2).
+    """
+    if q0 not in _FIBONACCI_SYMBOLS:
+        raise ValueError(f"no Fibonacci census for q0={q0!r}; expected one of 5, 4, 7")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    p, q = _FIBONACCI_SYMBOLS[q0]
+    v = rec_eval(rec_from_gf(derive(Schlafli(p, q)).v), n_max)
+    fib = [0, 1]
+    while len(fib) <= 2 * n_max:
+        fib.append(fib[-1] + fib[-2])
+    return all(v[n] == q * fib[2 * n] for n in range(1, n_max + 1))
+
+
+def ratio_probe(rec: LinRec, n: int) -> float:
+    """Empirical growth probe v(n)/v(n-1), computed from exact integers."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    v = rec_eval(rec, n)
+    return float(Fraction(v[n], v[n - 1]))

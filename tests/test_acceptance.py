@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import admissible_symbols, face_extremes_audit, latest_vertex_face_audit
+from conftest import admissible_symbols, face_extremes_audit, fibonacci_check, latest_vertex_face_audit
 from pqcensus.asymptotics import EUCLIDEAN, HYPERBOLIC, growth
 from pqcensus.genfunc import INFINITY, Schlafli, derive
 from pqcensus.oracle import (
@@ -34,7 +34,7 @@ from pqcensus.polyarith import (
     poly_mul,
     series_coeffs,
 )
-from pqcensus.recurrence import fibonacci_check, rec_eval, rec_from_gf
+from pqcensus.recurrence import rec_eval, rec_from_gf
 
 FULL_GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
 ORACLE_GRID = admissible_symbols(range(3, 9), range(3, 9))

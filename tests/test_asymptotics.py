@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import admissible_symbols
+from conftest import admissible_symbols, ratio_probe
 from pqcensus.asymptotics import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -11,7 +11,6 @@ from pqcensus.asymptotics import (
     NoRootFound,
     growth,
     palindrome_check,
-    ratio_probe,
 )
 from pqcensus.genfunc import INFINITY, Schlafli, derive
 from pqcensus.polyarith import IntPoly, gf_normalize

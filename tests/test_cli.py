@@ -1,9 +1,18 @@
+import csv
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from pqcensus import cli
+from pqcensus.genfunc import Schlafli, derive
+from pqcensus.oracle import StructureViolation, VertexProfile
 from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
+from pqcensus.recurrence import rec_eval, rec_from_gf
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 
 
 def run(capsys, *argv):
@@ -70,6 +79,31 @@ class TestCensus:
         _, out = run(capsys, "census", "4", "4")
         assert len(json.loads(out)["series"]) == 21
 
+    @pytest.fixture
+    def digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    def test_long_census_past_digit_limit(self, capsys, digit_limit):
+        # v(12000) of {4,5} has more digits than the interpreter's default
+        # int->str limit: a usage error that says how to lift it
+        digit_limit(4300)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "4", "5", "12000"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
+
+    def test_long_census_with_limit_lifted(self, capsys, digit_limit):
+        digit_limit(0)  # what PYTHONINTMAXSTRDIGITS=0 sets
+        code, out = run(capsys, "census", "4", "5", "12000")
+        assert code == 0
+        last = rec_eval(rec_from_gf(derive(Schlafli(4, 5)).v), 12000)[-1]
+        assert json.loads(out)["series"][-1] == str(last)
+
     def test_round_trip_expansion(self, capsys):
         # re-expanding the emitted gf must reproduce the emitted series
         _, out = run(capsys, "census", "4", "7", "12")
@@ -125,6 +159,18 @@ class TestVerify:
         text = path.read_text()
         assert text.startswith("# map p=4 q=5")
         assert any(line.split()[2] == "O" for line in text.splitlines()[2:])
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_dump_matches_recorded_digest(self, capsys, tmp_path, fmt):
+        # vertex numbering and rotation order are part of the output; the
+        # benchmark's reference file holds the digests recorded for them
+        ref = json.loads(REFS.read_text())["cli"][f"verify 4 5 --depth 6 --dump-map {{dump}} --format {fmt}"]
+        path = tmp_path / "map.txt"
+        code, out = run(capsys, "verify", "4", "5", "--depth", "6", "--dump-map", str(path), "--format", fmt)
+        assert code == ref["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["dump_sha256"]
 
 
 class TestAsym:
@@ -189,3 +235,55 @@ class TestFormatsAndExitCodes:
             outs.add(run(capsys, "census", "4", "5", "10", "--types")[1])
             outs.add(run(capsys, "asym", "3", "7")[1])
         assert len(outs) == 2
+
+
+class TestErrorRecordsInCsv:
+    @pytest.mark.parametrize(
+        "argv", [["genfunc", "3", "5"], ["asym", "5", "3"], ["census", "3", "3", "5"], ["verify", "4", "3"]],
+        ids=" ".join,
+    )
+    def test_out_of_scope(self, capsys, argv):
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 2
+        header, row = csv.reader(out.splitlines())
+        assert header == ["error", "message", "p", "q"]
+        assert row[0] == "SphericalOutOfScope"
+        assert row[1].startswith(f"{{{argv[1]},{argv[2]}}} is spherical")
+        assert row[2:] == argv[1:3]
+
+    def test_structure_violation(self, capsys, monkeypatch):
+        def violate(m, report):
+            raise StructureViolation(1, 1, VertexProfile(0, 0, 0, 0))
+
+        monkeypatch.setattr(cli.oracle, "classify", violate)
+        code, out = run(capsys, "verify", "4", "5", "--depth", "1", "--format", "csv")
+        assert code == 4
+        header, row = csv.reader(out.splitlines())
+        assert header == ["error", "message"]
+        assert row[0] == "StructureViolation"
+        assert row[1].startswith("vertex 1 in generation 1")
+
+
+class TestUsageErrors:
+    def exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "error" in err
+        return err
+
+    def test_negative_census_length(self, capsys):
+        assert "n must be >= 0" in self.exit_one(capsys, ["census", "4", "5", "-1"])
+
+    def test_negative_depth(self, capsys):
+        assert "--depth" in self.exit_one(capsys, ["verify", "4", "5", "--depth", "-1"])
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget(self, capsys, budget):
+        assert "--budget" in self.exit_one(capsys, ["verify", "4", "5", "--budget", budget])
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-4"])
+    def test_malformed_env_budget(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
+        assert cli.BUDGET_ENV_VAR in self.exit_one(capsys, ["verify", "4", "5", "--depth", "1"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import (
@@ -5,6 +7,7 @@ from conftest import (
     check_map_structure,
     face_extremes_audit,
     latest_vertex_face_audit,
+    reference_census,
 )
 from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TRIANGLE, INFINITY, Schlafli, derive
 from pqcensus.oracle import (
@@ -174,6 +177,18 @@ def test_map_structure(pq, sample_maps):
 
 
 @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
+def test_rotation_covers_edge_list(pq, sample_maps):
+    # neighbors are read off the rotation walk; rebuild them from the plain
+    # list of half-edges and require the same sets
+    m = sample_maps[pq][0]
+    ends = {v: [] for v in range(m.vertex_count)}
+    for h in range(m.half_edge_count):
+        ends[m.origin_of(h)].append(m.head_of(h))
+    for v, ws in ends.items():
+        assert sorted(m.rotation(v)) == sorted(ws), v
+
+
+@pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
 def test_face_extremes(pq, sample_maps):
     m, rep = sample_maps[pq]
     assert face_extremes_audit(m, rep.trusted_depth) > 0
@@ -258,3 +273,49 @@ def test_equivalence_small_grid():
         assert list(rep.a) == series_coeffs(cgf.a, t), s
         assert list(rep.b) == series_coeffs(cgf.b, t), s
         assert list(rep.c) == series_coeffs(cgf.c, t), s
+
+
+class TestBoundedCensus:
+    """``bfs_census`` + ``classify`` stop their BFS at the saturation
+    horizon; the full-map reference scan must give the same report."""
+
+    @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
+    def test_sample_maps(self, pq, sample_maps):
+        m, rep = sample_maps[pq]
+        assert rep == reference_census(m)
+
+    @pytest.mark.parametrize("pq,budget", [((4, 5), 500), ((3, 7), 800), ((7, 3), 300), ((5, 5), 2000)], ids=str)
+    def test_budget_partial_map(self, pq, budget):
+        with pytest.raises(BudgetExceeded) as exc:
+            build_map(Schlafli(*pq), 10, vertex_budget=budget)
+        m = exc.value.partial_map
+        ref = reference_census(m)
+        assert exc.value.achieved_depth == ref.trusted_depth
+        assert classify(m, bfs_census(m)) == ref
+
+    @pytest.mark.parametrize("q,depth", [(3, 0), (3, 4), (4, 2), (5, 3)], ids=str)
+    def test_trees(self, q, depth):
+        m = build_tree(q, depth)
+        assert classify(m, bfs_census(m)) == reference_census(m)
+
+    def test_bare_origin(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            build_map(Schlafli(8, 3), 2, vertex_budget=5)
+        m = exc.value.partial_map
+        assert m.vertex_count == 1 and exc.value.achieved_depth == 0
+        assert classify(m, bfs_census(m)) == reference_census(m)
+
+    def test_report_deeper_than_map(self, sample_maps):
+        m, rep = sample_maps[(4, 5)]
+        with pytest.raises(ValueError):
+            classify(m, replace(rep, trusted_depth=rep.trusted_depth + 1))
+
+    def test_truncated_distances(self, sample_maps):
+        m, rep = sample_maps[(5, 4)]
+        full = m.distances()
+        cut = m.distances(cap=2)
+        assert cut == [d if d <= 2 else -1 for d in full]
+        # neighbors the truncated BFS never reached are children, not parents
+        for v in range(m.vertex_count):
+            if full[v] == 2:
+                assert vertex_profile(m, v, cut) == vertex_profile(m, v, full)

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import admissible_symbols
+from conftest import admissible_symbols, fibonacci_check
 from pqcensus.genfunc import INFINITY, Schlafli, derive
 from pqcensus.polyarith import series_coeffs
-from pqcensus.recurrence import fibonacci_check, rec_eval, rec_from_gf
+from pqcensus.recurrence import rec_eval, rec_from_gf
 
 GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
 
