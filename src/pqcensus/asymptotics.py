@@ -2,9 +2,12 @@
 
 For a hyperbolic symbol the denominator Q has a unique smallest positive
 root z0 in (0,1); the census grows like v(n) ~ A * z0^(-n) with amplitude
-A = -P(z0) / (z0 Q'(z0)).  The root is certified by exact-rational
-bisection: we return a binary64 value together with an enclosing interval
-of width <= 1e-12 across which Q provably changes sign.
+A = -P(z0) / (z0 Q'(z0)).  The root is certified by exact integer root
+isolation: the Sturm chain of Q proves that Q is squarefree, so z0 is a
+simple root, and that z0 is the smallest positive root of Q; bisection at
+dyadic points m/2^k, with Q evaluated as the integer 2^(k deg Q) Q(m/2^k),
+then encloses z0 in a dyadic cell of width 2^-40 (<= 1e-12).  We return a
+binary64 value together with that cell.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported
@@ -15,20 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from pqcensus.genfunc import Schlafli
-from pqcensus.polyarith import IntPoly, RationalGF
+from pqcensus.polyarith import IntPoly, RationalGF, primitive, pseudo_rem
 
 HYPERBOLIC = "HYPERBOLIC"
 EUCLIDEAN = "EUCLIDEAN"
 TREE = "TREE"
 
-_SCAN_STEPS = 4096
 _TARGET_WIDTH = Fraction(1, 10**12)
 
 
 class NoRootFound(ArithmeticError):
-    """Q has no sign change in (0,1) although the symbol is hyperbolic."""
+    """Q has no root in (0,1], or is not squarefree, although the symbol is hyperbolic."""
 
 
 @dataclass(frozen=True)
@@ -62,44 +65,95 @@ def growth(gf: RationalGF, s: Schlafli) -> GrowthInfo:
 
 
 def _amplitude(gf: RationalGF, z0: Fraction) -> float:
-    return float(-Fraction(gf.num(z0)) / (z0 * Fraction(gf.den.derivative()(z0))))
+    """A = -P(z0) / (z0 Q'(z0)), with both polynomials evaluated in integers."""
+    a, b = z0.numerator, z0.denominator
+    dq = gf.den.derivative()
+    # P(a/b) = p / b^deg P and z0 Q'(a/b) = a d / b^(deg Q' + 1)
+    p = _scaled_eval(gf.num.coeffs, a, b)
+    d = _scaled_eval(dq.coeffs, a, b)
+    return float(Fraction(-p, a * d) * Fraction(b) ** (dq.degree + 1 - gf.num.degree))
+
+
+def _scaled_eval(cs, a: int, b: int) -> int:
+    """b^d * P(a/b) for the degree-d polynomial P with coefficients cs.
+
+    Homogeneous Horner's rule: an exact integer with the sign of P(a/b)
+    for b > 0, computed without any rational arithmetic.
+    """
+    acc, bpow = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
+
+
+def _sturm_chain(q: IntPoly) -> list[list[int]]:
+    """Sturm chain of q: q, q', then negated primitive pseudo-remainders.
+
+    Every member is a positive multiple of the classical Sturm polynomial,
+    so sign counts are unchanged.  Raises NoRootFound unless the chain ends
+    in a nonzero constant, i.e. unless gcd(q, q') = 1 and every root of q
+    is simple.
+    """
+    chain = [list(q.coeffs)]
+    nxt = primitive(list(q.derivative().coeffs))
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in primitive(pseudo_rem(chain[-2], chain[-1]))]
+    if len(chain[-1]) > 1:
+        raise NoRootFound(f"({q}) is not squarefree: it shares a factor with its derivative")
+    return chain
+
+
+def _sign_changes(chain: list[list[int]], a: int, b: int) -> int:
+    """Sign changes along the chain at a/b, zeros skipped."""
+    changes, last = 0, 0
+    for cs in chain:
+        v = _scaled_eval(cs, a, b)
+        if v:
+            if last and (v < 0) != (last < 0):
+                changes += 1
+            last = v
+    return changes
 
 
 def _certify_smallest_root(q: IntPoly, width: Fraction = _TARGET_WIDTH) -> tuple[Fraction, Fraction]:
-    """Bracket the first sign change of q in (0,1) down to the given width.
+    """Enclose the smallest root of q in (0,1] in a dyadic cell of width <= width.
 
-    All evaluations are exact rationals, so the returned interval is a
-    proof that a root lies inside.  The root is also certified simple by
-    checking q' keeps one nonzero sign on the final interval.
+    q must have q(0) > 0, as every reduced denominator does.  Sturm's
+    theorem counts the distinct roots of q in (x, y] as V(x) - V(y), V
+    being the sign changes along the chain at a point.  Bisection keeps the
+    cell (lo/2^k, (lo+1)/2^k] with no root in (0, lo/2^k]: it splits on
+    Sturm counts until the cell holds exactly one root, then on the sign of
+    q alone until 2^-k <= width.  Returning proves that q is squarefree, so
+    the root is simple, and that the smallest root of q in (0,1] lies in the
+    returned cell; a zero-width cell is the root itself.
     """
-    lo = Fraction(0)
-    hi = None
-    for k in range(1, _SCAN_STEPS + 1):
-        x = Fraction(k, _SCAN_STEPS)
-        val = q(x)
-        if val == 0:
-            lo = hi = x
-            break
-        if val < 0:
-            hi = x
-            break
-        lo = x
-    if hi is None:
-        raise NoRootFound(f"no sign change of ({q}) found in (0,1)")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        val = q(mid)
-        if val == 0:
-            lo = hi = mid
-            break
-        if val < 0:
-            hi = mid
+    chain = _sturm_chain(q)
+    v0 = _sign_changes(chain, 0, 1)
+    roots = v0 - _sign_changes(chain, 1, 1)
+    if roots == 0:
+        raise NoRootFound(f"({q}) has no root in (0,1]")
+    bits = (ceil(1 / width) - 1).bit_length()  # least k with 2^-k <= width
+    lo, k = 0, 0
+    while roots > 1:
+        lo, k = 2 * lo, k + 1
+        below = v0 - _sign_changes(chain, lo + 1, 1 << k)
+        if below:
+            roots = below
         else:
-            lo = mid
-    dq = q.derivative()
-    if lo != hi and not (dq(lo) < 0 and dq(hi) < 0) and not (dq(lo) > 0 and dq(hi) > 0):
-        raise NoRootFound(f"root of ({q}) near {float(lo):.6f} is not certified simple")
-    return lo, hi
+            lo += 1
+    # q > 0 on [0, lo/2^k], and q changes sign once at the simple root
+    if _scaled_eval(chain[0], lo + 1, 1 << k) == 0:
+        return Fraction(lo + 1, 1 << k), Fraction(lo + 1, 1 << k)
+    while k < bits:
+        lo, k = 2 * lo, k + 1
+        val = _scaled_eval(chain[0], lo + 1, 1 << k)
+        if val == 0:
+            return Fraction(lo + 1, 1 << k), Fraction(lo + 1, 1 << k)
+        if val > 0:
+            lo += 1
+    return Fraction(lo, 1 << k), Fraction(lo + 1, 1 << k)
 
 
 def palindrome_check(q: IntPoly) -> bool:

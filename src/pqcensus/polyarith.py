@@ -190,12 +190,12 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     taking contents out each round keeps coefficients small at the tiny
     degrees this package handles.
     """
-    fa = _primitive(list(a.coeffs))
-    fb = _primitive(list(b.coeffs))
+    fa = primitive(list(a.coeffs))
+    fb = primitive(list(b.coeffs))
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
-        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
+        fa, fb = fb, primitive(pseudo_rem(fa, fb))
     if not fa:
         return ZERO
     if fa[-1] < 0:
@@ -203,7 +203,8 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(fa)
 
 
-def _primitive(cs: list[int]) -> list[int]:
+def primitive(cs: list[int]) -> list[int]:
+    """Coefficient list cs, trimmed and divided by its positive content."""
     while cs and cs[-1] == 0:
         cs.pop()
     g = 0
@@ -212,15 +213,23 @@ def _primitive(cs: list[int]) -> list[int]:
     return [c // g for c in cs] if g > 1 else cs
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of |lc(b)|^e * a on division by b, as a coefficient list.
+
+    Each reduction step scales by |lc(b)|, never by a negative lead, so the
+    result is a positive multiple of the remainder over Q and keeps its
+    signs: the Sturm chain in ``asymptotics`` depends on that, and a gcd
+    (defined up to sign) does not mind it.
+    """
     r = a[:]
     db = len(b) - 1
     lb = b[-1]
+    scale = abs(lb)
     while r and len(r) - 1 >= db:
-        lr = r[-1]
+        lr = r[-1] if lb > 0 else -r[-1]
         k = len(r) - 1 - db
-        if lb != 1:
-            r = [lb * c for c in r]
+        if scale != 1:
+            r = [scale * c for c in r]
         for j in range(db + 1):
             r[k + j] -= lr * b[j]
         while r and r[-1] == 0:

@@ -1,7 +1,10 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import admissible_symbols, ratio_probe
 from pqcensus.asymptotics import (
@@ -9,6 +12,7 @@ from pqcensus.asymptotics import (
     HYPERBOLIC,
     TREE,
     NoRootFound,
+    _certify_smallest_root,
     growth,
     palindrome_check,
 )
@@ -19,6 +23,15 @@ from pqcensus.recurrence import rec_eval, rec_from_gf
 HYPERBOLIC_GRID = [
     s for s in admissible_symbols(range(3, 13), range(3, 13)) if s.hyperbolic()
 ]
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+CELL = Fraction(1, 2**40)
+
+
+def growth_of_den(*factors):
+    den = IntPoly([1])
+    for f in factors:
+        den = den * IntPoly(f)
+    return growth(gf_normalize(IntPoly([1]), den), Schlafli(4, 5))
 
 
 class TestGrowth:
@@ -59,6 +72,55 @@ class TestGrowth:
         gf = gf_normalize(IntPoly([1]), IntPoly([1, 1]))
         with pytest.raises(NoRootFound):
             growth(gf, Schlafli(4, 5))
+        with pytest.raises(NoRootFound):
+            growth_of_den()  # constant denominator, empty Sturm tail
+
+    def test_two_roots_closer_than_the_old_scan_grid(self):
+        # 1/10001 and 1/10000 share one 1/4096 cell, so a sign-change scan
+        # sees no change there and reports the root 1/2 instead
+        lo, hi = growth_of_den([1, -10000], [1, -10001], [1, -2]).z0_interval
+        assert lo <= Fraction(1, 10001) <= hi
+        assert hi - lo <= Fraction(1, 10**12)
+
+    def test_smallest_of_two_roots_isolated(self):
+        lo, hi = growth_of_den([1, -3], [1, -2]).z0_interval
+        assert lo < Fraction(1, 3) < hi
+        assert hi - lo <= Fraction(1, 10**12)
+
+    def test_repeated_root_rejected(self):
+        with pytest.raises(NoRootFound, match="not squarefree"):
+            growth_of_den([1, -3], [1, -3])
+
+
+def test_recorded_roots_on_the_dyadic_grid():
+    # every recorded reference z0 lies in the 2^-40 cell the certifier
+    # reports, so the printed z0, rate and amplitude are pinned bit for bit
+    refs = json.loads(REFS.read_text())["z0"]
+    for key, ref in refs.items():
+        p, q = key.split(",")
+        s = Schlafli(INFINITY if p == "inf" else int(p), int(q))
+        info = growth(derive(s).v, s)
+        assert info.classification == ref["class"], key
+        if ref["class"] == HYPERBOLIC:
+            z0 = Fraction(ref["z0"])
+            lo = math.floor(z0 / CELL) * CELL
+            assert info.z0_interval == (lo, lo + CELL), key
+
+
+@given(
+    st.lists(st.integers(2, 50), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(1, 50), max_size=2, unique=True),
+    st.booleans(),
+)
+def test_isolates_smallest_of_product_roots(rates, negative_roots, complex_pair):
+    # distinct factors, so den is squarefree; only the 1 - a z vanish in (0,1]
+    factors = [[1, -a] for a in rates] + [[1, b] for b in negative_roots]
+    den = IntPoly([1, 1, 1]) if complex_pair else IntPoly([1])
+    for f in factors:
+        den = den * IntPoly(f)
+    lo, hi = _certify_smallest_root(den)
+    assert lo <= Fraction(1, max(rates)) <= hi
+    assert hi - lo <= Fraction(1, 10**12)
 
 
 @pytest.mark.parametrize("s", HYPERBOLIC_GRID, ids=str)
@@ -88,8 +150,6 @@ def test_amplitude_approximates_census(s):
 def test_ratio_converges_geometrically(s):
     # exact arithmetic against a much tighter root enclosure, so the
     # geometric decrease is visible instead of drowning in binary64 noise
-    from pqcensus.asymptotics import _certify_smallest_root
-
     cgf = derive(s)
     lo, hi = _certify_smallest_root(cgf.v.den, Fraction(1, 10**140))
     lam = 2 / (lo + hi)

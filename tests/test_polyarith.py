@@ -13,6 +13,7 @@ from pqcensus.polyarith import (
     poly_div_exact,
     poly_gcd,
     poly_mul,
+    pseudo_rem,
     series_coeffs,
 )
 
@@ -84,6 +85,13 @@ class TestDivExact:
         b = poly_mul(P(1, -1), P(3, 1))
         # primitive with positive leading coefficient is canonical
         assert poly_gcd(a, b) == P(-1, 1)
+
+    def test_pseudo_rem_keeps_sign_under_negative_lead(self):
+        # z = (1 - 2z)(-1/2) + 1/2: the pseudo-remainder is a positive
+        # multiple of 1/2, not the -1 a signed lead multiplier gives
+        assert pseudo_rem([0, 1], [1, -2]) == [1]
+        # z^2 = (1 - 2z)(-z/2 - 1/4) + 1/4
+        assert pseudo_rem([0, 0, 1], [1, -2]) == [1]
 
 
 class TestNormalize:
