@@ -167,16 +167,12 @@ def record_asym(cgf: CensusGF) -> dict:
 
 
 def record_verify(cgf: CensusGF, depth: int, budget: int, dump_path: str | None) -> tuple[dict, int]:
-    s = cgf.symbol
     budget_limited = False
-    if s.is_tree:
-        m = oracle.build_tree(s.q, depth)
-    else:
-        try:
-            m = oracle.build_map(s, depth, budget)
-        except BudgetExceeded as exc:
-            m = exc.partial_map
-            budget_limited = True
+    try:
+        m = oracle.build_map(cgf.symbol, depth, budget)
+    except BudgetExceeded as exc:
+        m = exc.partial_map
+        budget_limited = True
     report = oracle.classify(m, oracle.bfs_census(m))
     t = report.trusted_depth
     expected = {

@@ -12,11 +12,11 @@ whose vertices all have degree q.  Exactly one of four derivations applies:
 * p odd >= 5: a third class ``c`` appears, vertices joined to one
               same-generation "cousin".
 
-Each derivation writes down the class generating functions over a common
-denominator obtained from the counting recurrences, then assembles the
-total as v = 1 + a + b + c and lets ``gf_normalize`` cancel common
-factors.  The hand-reduced textbook forms thus become test assertions
-instead of code paths.
+Each derivation writes down the class numerators over a common
+denominator obtained from the counting recurrences, then forms the total
+v = 1 + a + b + c as one numerator over that denominator and lets
+``gf_normalize`` cancel common factors.  The hand-reduced textbook forms
+thus become test assertions instead of code paths.
 
 Admissibility (2(p+q) <= pq, i.e. 1/p + 1/q <= 1/2) is decided in exact
 integer arithmetic; the finitely many spherical symbols are rejected.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pqcensus.polyarith import IntPoly, RationalGF, gf_add, gf_const, gf_normalize
+from pqcensus.polyarith import IntPoly, RationalGF, gf_normalize
 
 CASE_TREE = "TREE"
 CASE_EVEN = "EVEN"
@@ -121,19 +121,16 @@ class CensusGF:
     c: RationalGF
 
 
-def _assemble_total(a: RationalGF, b: RationalGF, c: RationalGF) -> RationalGF:
-    return gf_add(gf_add(gf_add(gf_const(1), a), b), c)
-
-
 def gf_infinite(q: int) -> CensusGF:
     """Census of the q-regular tree: a(n) = q(q-1)^(n-1) for n >= 1."""
     if not isinstance(q, int) or q < 3:
         raise BadDegree(f"vertex degree q must be an integer >= 3, got {q!r}")
     s = Schlafli(INFINITY, q)
     common = IntPoly([1, -(q - 1)])
-    a = gf_normalize(IntPoly([0, q]), common)
+    a_num = IntPoly([0, q])
+    a = gf_normalize(a_num, common)
     b = c = gf_normalize(IntPoly(), IntPoly([1]))
-    v = _assemble_total(a, b, c)
+    v = gf_normalize(common + a_num, common)
     return CensusGF(s, CASE_TREE, v, a, b, c)
 
 
@@ -158,17 +155,12 @@ def gf_even(p: int, q: int) -> CensusGF:
     den[r] += q - 1
     den[r + 1] -= 1
     common = IntPoly(den)
-    a_num = [0] * (r + 2)
-    a_num[1] = q
-    a_num[r] -= 2 * q
-    a_num[r + 1] += q
-    b_num = [0] * (r + 2)
-    b_num[r] = q
-    b_num[r + 1] = -q
-    a = gf_normalize(IntPoly(a_num), common)
-    b = gf_normalize(IntPoly(b_num), common)
+    a_num = IntPoly([0, q] + [0] * (r - 2) + [-2 * q, q])
+    b_num = IntPoly([0] * r + [q, -q])
+    a = gf_normalize(a_num, common)
+    b = gf_normalize(b_num, common)
     c = gf_normalize(IntPoly(), IntPoly([1]))
-    v = _assemble_total(a, b, c)
+    v = gf_normalize(common + a_num + b_num, common)
     return CensusGF(s, CASE_EVEN, v, a, b, c)
 
 
@@ -188,10 +180,12 @@ def gf_triangle(q: int) -> CensusGF:
         raise SphericalOutOfScope(3, q)
     s = Schlafli(3, q)
     common = IntPoly([1, -(q - 4), 1])
-    a = gf_normalize(IntPoly([0, q, -q]), common)
-    b = gf_normalize(IntPoly([0, 0, q]), common)
+    a_num = IntPoly([0, q, -q])
+    b_num = IntPoly([0, 0, q])
+    a = gf_normalize(a_num, common)
+    b = gf_normalize(b_num, common)
     c = gf_normalize(IntPoly(), IntPoly([1]))
-    v = _assemble_total(a, b, c)
+    v = gf_normalize(common + a_num + b_num, common)
     return CensusGF(s, CASE_TRIANGLE, v, a, b, c)
 
 
@@ -228,7 +222,7 @@ def gf_odd(p: int, q: int) -> CensusGF:
     a = gf_normalize(a_num, common)
     b = gf_normalize(b_num, common)
     c = gf_normalize(c_num, common)
-    v = _assemble_total(a, b, c)
+    v = gf_normalize(common + a_num + b_num + c_num, common)
     return CensusGF(s, CASE_ODD, v, a, b, c)
 
 

@@ -17,6 +17,10 @@ have had at most q - 2 faces.  Both conditions are forced by the target
 degree q, so the glue run is determined by the local face counts and the
 resulting disk is the unique {p,q} patch; no global knowledge is used.
 
+The q-regular tree {inf,q} grows by the same rounds with a simpler step:
+a vertex missing edges gets one pendant edge to a new leaf at a time, until
+it has q.
+
 Census trust: a vertex is saturated when all q of its faces are closed
 (for the tree case p = infinity, when all q edges are present).  The
 report covers generation n only if every vertex at distance <= n is
@@ -48,7 +52,7 @@ DEFAULT_VERTEX_BUDGET = 200_000
 
 
 class BadSymbol(ValueError):
-    """The symbol cannot be built: spherical, or the wrong builder was called."""
+    """The symbol cannot be built: it is spherical."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -127,6 +131,9 @@ class PlanarMap:
         self._v_bhe: list[int] = [-1]  # outgoing boundary half-edge, -1 if none
         self._v_half: list[int] = [-1]  # any outgoing half-edge
         self._outer = -1
+        # saturated once its entry reaches q: edges for a tree, closed faces
+        # for a disk
+        self._sat = self._v_deg if symbol.is_tree else self._v_faces
         # BFS results, each tagged with the half-edge count it was taken at
         # (every mutation adds half-edges, so a stale entry is recognized)
         self._dist_cache: tuple[int, list[int]] | None = None
@@ -157,9 +164,7 @@ class PlanarMap:
         return self._v_faces[v]
 
     def is_saturated(self, v: int) -> bool:
-        if self.symbol.is_tree:
-            return self._v_deg[v] == self.symbol.q
-        return self._v_faces[v] == self.symbol.q
+        return self._sat[v] == self.symbol.q
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.rotation(v)
@@ -232,8 +237,7 @@ class PlanarMap:
     # -- breadth-first search ---------------------------------------------
 
     def _unsaturated_in(self, level: list[int]) -> bool:
-        sat = self._v_deg if self.symbol.is_tree else self._v_faces
-        return min(map(sat.__getitem__, level)) < self.symbol.q
+        return min(map(self._sat.__getitem__, level)) < self.symbol.q
 
     def _bfs(self, cap: int | None = None, horizon: bool = False) -> tuple[list[int], list[list[int]]]:
         """Generation-by-generation BFS from the origin: (dist, levels).
@@ -309,9 +313,11 @@ class PlanarMap:
             self._v_half[w] = h + 1
         return h, h + 1
 
-    def _bootstrap(self):
+    def _bootstrap(self, budget: int | None):
         """Lay down the first p-gon through the bare origin."""
         p = self.symbol.p
+        if budget is not None and p > budget:
+            raise BudgetExceeded(0, self.vertex_count, self)
         cyc = [0] + [self._new_vertex() for _ in range(p - 1)]
         cs = []
         for i in range(p):
@@ -401,33 +407,57 @@ class PlanarMap:
         self._v_half += ts[:m]
         self._outer = ts[0]
 
+    def _attach_leaf(self, v: int, budget: int | None):
+        """Hang one new leaf off tree vertex v.
+
+        The pendant edge is spliced into v's rotation just before
+        ``_v_half[v]``, so v's neighbors keep the order they were added in.
+        """
+        nv0 = len(self._v_deg)
+        if budget is not None and nv0 + 1 > budget:
+            raise BudgetExceeded(self._horizon()[0], nv0, self)
+        nxt, prv = self._he_next, self._he_prev
+        h0 = self._v_half[v]
+        a, b = self._new_edge(v, self._new_vertex())
+        # a bare vertex: the new edge's two sides form the whole cycle
+        ins, h0 = (prv[h0], h0) if h0 >= 0 else (b, a)
+        nxt[ins], prv[a] = a, ins
+        nxt[a], prv[b] = b, a
+        nxt[b], prv[h0] = h0, b
+
     def _grow(self, depth: int, budget: int | None):
-        q = self.symbol.q
-        if self.half_edge_count == 0:
-            if budget is not None and self.symbol.p > budget:
-                raise BudgetExceeded(0, self.vertex_count, self)
-            self._bootstrap()
-        faces = self._v_faces
-        for _ in range(depth + 10):
+        q, sat = self.symbol.q, self._sat
+        if self.symbol.is_tree:
+            attach = self._attach_leaf
+        else:
+            attach = self._attach_face
+            if self.half_edge_count == 0:
+                self._bootstrap(budget)
+        # Every target of a round ends saturated, and once ball(r - 2) is
+        # saturated no vertex can join ball(r - 1) or change distance inside
+        # it.  So round r leaves ball(r - 1) saturated, ball(depth) is
+        # saturated after round depth + 1, and round depth + 2 finds no
+        # targets.
+        for _ in range(depth + 2):
             # unsaturated vertices within depth, nearest first, then by id
-            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if faces[v] < q]
+            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if sat[v] < q]
             if not targets:
                 return
             for v in targets:
-                while faces[v] < q:
-                    self._attach_face(v, budget)
-        raise RuntimeError("disk growth failed to reach the requested depth")
+                while sat[v] < q:
+                    attach(v, budget)
+        raise RuntimeError("growth failed to reach the requested depth")
 
 
 def build_map(s: Schlafli, min_saturated_depth: int, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> PlanarMap:
-    """Build a {p,q} disk saturated out to at least the requested depth.
+    """Build a {p,q} disk, or the {inf,q} tree, saturated out to at least
+    the requested depth.
 
     Raises BudgetExceeded (carrying the achieved depth and the partial map)
     if the vertex budget would be overrun first; pass ``vertex_budget=None``
-    to grow without a cap.
+    to grow without a cap.  A tree comes out with its leaves at distance
+    depth + 1, so its saturation horizon is exactly the requested depth.
     """
-    if s.is_tree:
-        raise BadSymbol("infinite faces have no disk construction; use build_tree")
     if not s.admissible():
         raise BadSymbol(f"{s} is spherical; only Euclidean and hyperbolic symbols are built")
     if min_saturated_depth < 0:
@@ -437,35 +467,9 @@ def build_map(s: Schlafli, min_saturated_depth: int, vertex_budget: int | None =
     return m
 
 
-def build_tree(q: int, depth: int) -> PlanarMap:
-    """Build the q-regular tree with every vertex at distance <= depth complete.
-
-    Leaves sit at distance depth + 1, so the saturation horizon of the
-    result is exactly ``depth``.
-    """
-    s = Schlafli(INFINITY, q)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    m = PlanarMap(s)
-    frontier: list[tuple[int, int]] = [(0, -1)]
-    for _ in range(depth + 1):
-        grown: list[tuple[int, int]] = []
-        for v, ins in frontier:
-            for _ in range(q if v == 0 else q - 1):
-                w = m._new_vertex()
-                a, b = m._new_edge(v, w)
-                if ins < 0:
-                    m._he_next[a], m._he_prev[b] = b, a
-                    m._he_next[b], m._he_prev[a] = a, b
-                else:
-                    after = m._he_next[ins]
-                    m._he_next[ins], m._he_prev[a] = a, ins
-                    m._he_next[a], m._he_prev[b] = b, a
-                    m._he_next[b], m._he_prev[after] = after, b
-                ins = b
-                grown.append((w, a))
-        frontier = grown
-    return m
+def build_tree(q: int, depth: int, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> PlanarMap:
+    """The q-regular tree: ``build_map`` of {inf,q}, with the same budget."""
+    return build_map(Schlafli(INFINITY, q), depth, vertex_budget)
 
 
 def bfs_census(m: PlanarMap) -> CensusReport:

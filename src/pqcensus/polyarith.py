@@ -283,14 +283,6 @@ def gf_normalize(num: IntPoly, den: IntPoly) -> RationalGF:
     return RationalGF(num, den)
 
 
-def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
-    return gf_normalize(a.num * b.den + b.num * a.den, a.den * b.den)
-
-
-def gf_const(c: int) -> RationalGF:
-    return RationalGF(IntPoly([c]), ONE)
-
-
 def series_coeffs(gf: RationalGF, n_max: int) -> list[int]:
     """First n_max + 1 Taylor coefficients of gf, by exact long division.
 

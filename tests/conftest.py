@@ -8,6 +8,7 @@ from fractions import Fraction
 from pqcensus import INFINITY, Schlafli
 from pqcensus.genfunc import derive
 from pqcensus.oracle import CensusReport, PlanarMap, _type_of
+from pqcensus.polyarith import RationalGF, gf_normalize
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
 
@@ -171,6 +172,11 @@ def fibonacci_check(q0: int, n_max: int) -> bool:
     while len(fib) <= 2 * n_max:
         fib.append(fib[-1] + fib[-2])
     return all(v[n] == q * fib[2 * n] for n in range(1, n_max + 1))
+
+
+def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
+    """Sum of two generating functions, reduced by ``gf_normalize``."""
+    return gf_normalize(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
 def ratio_probe(rec: LinRec, n: int) -> float:

@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqcensus import cli
 from pqcensus.genfunc import Schlafli, derive
@@ -135,6 +139,24 @@ class TestVerify:
         assert code == 0
         assert rec["oracle"]["match"] is True
         assert rec["oracle"]["trusted_depth"] == 5
+
+    def test_tree_honours_budget(self, capsys):
+        code, out = run(capsys, "verify", "inf", "3", "--depth", "12", "--budget", "10")
+        o = json.loads(out)["oracle"]
+        assert code == 0
+        assert o["budget_limited"] is True
+        assert o["trusted_depth"] == 1
+        assert o["vertices"] == 10
+
+    def test_tree_honours_default_budget(self, capsys, monkeypatch):
+        # the full tree, leaves at depth 13 included, would hold about 1.3e11 vertices
+        monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+        code, out = run(capsys, "verify", "inf", "8", "--depth", "12")
+        o = json.loads(out)["oracle"]
+        assert code == 0
+        assert o["budget_limited"] is True
+        assert o["vertices"] <= cli.oracle.DEFAULT_VERTEX_BUDGET
+        assert o["match"] is True
 
     def test_budget_limited_still_verifies(self, capsys):
         code, out = run(capsys, "verify", "4", "5", "--depth", "8", "--budget", "400")
@@ -287,3 +309,47 @@ class TestUsageErrors:
     def test_malformed_env_budget(self, capsys, monkeypatch, raw):
         monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
         assert cli.BUDGET_ENV_VAR in self.exit_one(capsys, ["verify", "4", "5", "--depth", "1"])
+
+
+@st.composite
+def cli_argv(draw):
+    """Any subcommand and format over small symbols, with sizes capped so
+    that no run builds more than 5000 vertices or sums more than 200 terms;
+    negative n and depth are included as usage errors."""
+    cmd = draw(st.sampled_from(["genfunc", "census", "verify", "asym"]))
+    p = draw(st.sampled_from(["inf", *map(str, range(3, 9))]))
+    argv = [cmd, p, str(draw(st.integers(3, 8)))]
+    if cmd == "census":
+        argv.append(str(draw(st.integers(-1, 200))))
+        if draw(st.booleans()):
+            argv.append("--types")
+    elif cmd == "verify":
+        argv += ["--depth", str(draw(st.integers(-1, 12))), "--budget", str(draw(st.integers(1, 5000)))]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
+
+
+def _parses(fmt: str, out: str) -> bool:
+    if fmt == "json":
+        return isinstance(json.loads(out), dict)
+    lines = out.splitlines()
+    if fmt == "csv":
+        rows = list(csv.reader(lines))
+        return len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+    names = [line.split(" ", 1)[0] for line in lines]
+    return all(re.fullmatch(r"[a-z_][\w.]* .*", line) for line in lines) and len(set(names)) == len(names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argv())
+def test_any_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(5), argv
+    if code == 1:
+        assert err.getvalue().strip() and not out.getvalue(), argv
+    else:
+        assert _parses(argv[-1], out.getvalue()), argv

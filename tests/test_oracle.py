@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -114,9 +115,19 @@ class TestBuildMap:
         assert rep.trusted_depth == 0
         assert rep.v == (1,)
 
-    def test_rejects_tree_symbol(self):
-        with pytest.raises(BadSymbol):
-            build_map(Schlafli(INFINITY, 3), 2)
+    @pytest.mark.parametrize(
+        "q,depth,digest",
+        [
+            (3, 4, "c96e2749523b6b2a96aab2b4842adbc23f0682cbbd5674f53ad6bdf5c425717a"),
+            (5, 2, "427aaac20436736bed11a8b2e0024a77b400f9e6b2b06527760f951adaf89c9f"),
+        ],
+        ids=str,
+    )
+    def test_tree_symbol_dump_digest(self, q, depth, digest):
+        # digests of the tree dumps as the former standalone tree builder
+        # wrote them: vertex ids and rotation order are unchanged
+        text = dump_map(build_map(Schlafli(INFINITY, q), depth))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rejects_spherical(self):
         with pytest.raises(BadSymbol):
@@ -284,7 +295,11 @@ class TestBoundedCensus:
         m, rep = sample_maps[pq]
         assert rep == reference_census(m)
 
-    @pytest.mark.parametrize("pq,budget", [((4, 5), 500), ((3, 7), 800), ((7, 3), 300), ((5, 5), 2000)], ids=str)
+    @pytest.mark.parametrize(
+        "pq,budget",
+        [((4, 5), 500), ((3, 7), 800), ((7, 3), 300), ((5, 5), 2000), ((INFINITY, 3), 10)],
+        ids=str,
+    )
     def test_budget_partial_map(self, pq, budget):
         with pytest.raises(BudgetExceeded) as exc:
             build_map(Schlafli(*pq), 10, vertex_budget=budget)

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import gf_add
 from pqcensus.polyarith import (
     IntPoly,
     NonUnitDenominator,
     NotDivisible,
     RationalGF,
     ZeroDenominatorConstant,
-    gf_add,
     gf_normalize,
     poly_add,
     poly_div_exact,
