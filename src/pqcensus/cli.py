@@ -22,6 +22,7 @@ codes 2 and 4 are emitted as records in the chosen format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -50,6 +51,7 @@ EXIT_MISMATCH = 3
 EXIT_VIOLATION = 4
 
 BUDGET_ENV_VAR = "PQCENSUS_BUDGET"
+DEFAULT_CENSUS_N = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="evaluate generation counts")
     common(sp)
-    sp.add_argument("n", type=int, nargs="?", default=20, help="largest generation (default 20)")
+    sp.add_argument("n", type=int, nargs="?", help=f"largest generation (default {DEFAULT_CENSUS_N})")
     sp.add_argument("--types", action="store_true", help="also emit per-class counts")
 
     sp = sub.add_parser("verify", help="cross-check the series against an explicit map")
@@ -277,8 +279,23 @@ def _emit_csv(rec: dict) -> str:
 _EMITTERS = {"json": _emit_json, "plain": _emit_plain, "csv": _emit_csv}
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "census" and args.n is None:
+        # argparse fills the optional positional n only before the first
+        # option; a lone integer left over is an n given after the options
+        args.n = DEFAULT_CENSUS_N
+        if len(extra) == 1:
+            with contextlib.suppress(ValueError):
+                args.n, extra = int(extra[0]), []
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     emit = _EMITTERS[args.format]
     if args.command == "census" and args.n < 0:
         _usage_error(f"n must be >= 0, got {args.n}")

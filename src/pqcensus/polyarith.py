@@ -11,14 +11,15 @@ coefficients come out of long division as plain integers.  Build one with
 ``gf_normalize``; do not construct ``RationalGF`` by hand.
 
 Everything here is immutable and side-effect free, so values can be shared
-freely across threads.
+freely across threads; the one exception, ``extend_recurrence``, appends to
+the list it is given and says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class NotDivisible(ArithmeticError):
@@ -248,9 +249,6 @@ class RationalGF:
     num: IntPoly
     den: IntPoly
 
-    def series(self, n_max: int) -> list[int]:
-        return series_coeffs(self, n_max)
-
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
 
@@ -284,9 +282,11 @@ def gf_normalize(num: IntPoly, den: IntPoly) -> RationalGF:
 
 
 def series_coeffs(gf: RationalGF, n_max: int) -> list[int]:
-    """First n_max + 1 Taylor coefficients of gf, by exact long division.
+    """First n_max + 1 Taylor coefficients of gf; Q(0) = 1 makes them integers.
 
-    Q(0) = 1 guarantees every coefficient is an integer.
+    The first max(d, len(P)) terms, where the numerator and the bound i <= n
+    matter, come from bounded long division; ``extend_recurrence`` computes
+    the rest at one big-integer operation per nonzero tap or fewer.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -294,9 +294,41 @@ def series_coeffs(gf: RationalGF, n_max: int) -> list[int]:
     den = gf.den.coeffs
     d = len(den) - 1
     out: list[int] = []
-    for n in range(n_max + 1):
+    for n in range(min(n_max + 1, max(d, len(num)))):
         acc = num[n] if n < len(num) else 0
         for i in range(1, min(n, d) + 1):
             acc -= den[i] * out[n - i]
         out.append(acc)
+    return extend_recurrence(out, [-c for c in den[1:]], n_max)
+
+
+def extend_recurrence(out: list[int], coeffs: Sequence[int], n_max: int) -> list[int]:
+    """Append v(n) = sum_i coeffs[i-1] v(n-i) to out up to v(n_max); return out.
+
+    Mutates ``out``, which must already hold len(coeffs) terms.  Taps are
+    grouped by value, so a term costs one addition per nonzero tap past the
+    first and one multiplication per distinct coefficient other than +-1:
+    1 - 6z - 4z^2 - 6z^3 + z^4 gives 6(v1 + v3) + 4v2 - v4, five operations.
+    The sum starts from a term, never from 0, since 0 + x copies all of x.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(coeffs, 1):
+        if c:
+            groups.setdefault(c, []).append(-i)
+    # lags are negative indices, as out only grows at its end; the -1 group
+    # goes last, so the sum starts from a term or a product
+    taps = sorted(((c, lags[0], lags[1:]) for c, lags in groups.items()), key=lambda t: t[0] == -1)
+    for _ in range(len(out), n_max + 1):
+        acc = None
+        for c, first, rest in taps:
+            s = out[first]
+            for i in rest:
+                s += out[i]
+            if c == -1:
+                acc = -s if acc is None else acc - s
+                continue
+            if c != 1:
+                s *= c
+            acc = s if acc is None else acc + s
+        out.append(0 if acc is None else acc)
     return out

@@ -4,14 +4,18 @@ If v(z) = P(z)/Q(z) with Q(0) = 1 and Q of degree d, then the coefficient
 sequence satisfies v(n) = sum_i c_i v(n-i) with c_i = -Q_i as soon as n
 exceeds deg P; the numerator only feeds the finitely many earlier terms.
 Those early terms are always taken from exact series division, never from
-closed forms, so the inhomogeneous prefix is handled uniformly.
+closed forms, so the inhomogeneous prefix is handled uniformly.  Past them,
+``rec_eval`` and ``series_coeffs`` share one kernel,
+``polyarith.extend_recurrence``: a term costs one big-integer addition per
+nonzero tap beyond the first and one multiplication per distinct
+coefficient other than +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pqcensus.polyarith import RationalGF, series_coeffs
+from pqcensus.polyarith import RationalGF, extend_recurrence, series_coeffs
 
 
 @dataclass(frozen=True)
@@ -40,12 +44,8 @@ def rec_from_gf(gf: RationalGF) -> LinRec:
 
 
 def rec_eval(rec: LinRec, n_max: int) -> list[int]:
-    """Terms v(0..n_max), replaying the recurrence past the stored prefix."""
+    """Terms v(0..n_max): the stored prefix, then the recurrence replayed by
+    ``extend_recurrence`` (one operation per nonzero tap or fewer)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = list(rec.initial_terms[: n_max + 1])
-    cs = rec.rec_coeffs
-    d = rec.order
-    for n in range(len(out), n_max + 1):
-        out.append(sum(cs[i - 1] * out[n - i] for i in range(1, d + 1)))
-    return out
+    return extend_recurrence(list(rec.initial_terms[: n_max + 1]), rec.rec_coeffs, n_max)

@@ -174,6 +174,22 @@ def fibonacci_check(q0: int, n_max: int) -> bool:
     return all(v[n] == q * fib[2 * n] for n in range(1, n_max + 1))
 
 
+def reference_series(num, den, n_max: int) -> list[int]:
+    """Taylor coefficients 0..n_max of num/den (den[0] = 1) by plain long
+    division over every tap, zero and +-1 taps included.
+
+    ``series_coeffs`` and ``rec_eval`` hand their steady state to the
+    grouped-tap kernel ``extend_recurrence`` and must agree with this exactly.
+    """
+    out: list[int] = []
+    for n in range(n_max + 1):
+        acc = num[n] if n < len(num) else 0
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[i] * out[n - i]
+        out.append(acc)
+    return out
+
+
 def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
     """Sum of two generating functions, reduced by ``gf_normalize``."""
     return gf_normalize(a.num * b.den + b.num * a.den, a.den * b.den)

@@ -82,6 +82,21 @@ class TestCensus:
     def test_default_horizon(self, capsys):
         _, out = run(capsys, "census", "4", "4")
         assert len(json.loads(out)["series"]) == 21
+        _, out = run(capsys, "census", "4", "4", "--types")
+        assert len(json.loads(out)["series"]) == 21
+
+    @pytest.mark.parametrize(
+        "after, before",
+        [
+            (["--types", "3"], ["3", "--types"]),
+            (["--format", "plain", "10"], ["10", "--format", "plain"]),
+            (["--format", "csv", "--types", "7"], ["7", "--types", "--format", "csv"]),
+            (["--types", "--format", "plain", "0"], ["0", "--types", "--format", "plain"]),
+        ],
+    )
+    def test_n_after_options(self, capsys, after, before):
+        expected = run(capsys, "census", "4", "5", *before)
+        assert run(capsys, "census", "4", "5", *after) == expected
 
     @pytest.fixture
     def digit_limit(self):
@@ -297,6 +312,24 @@ class TestUsageErrors:
 
     def test_negative_census_length(self, capsys):
         assert "n must be >= 0" in self.exit_one(capsys, ["census", "4", "5", "-1"])
+        assert "n must be >= 0" in self.exit_one(capsys, ["census", "4", "5", "--types", "-1"])
+
+    @pytest.mark.parametrize(
+        "tail, extra",
+        [
+            (["3", "--types", "4"], "4"),
+            (["--types", "3", "4"], "3 4"),
+            (["--types", "abc"], "abc"),
+            (["--types", "--bogus"], "--bogus"),
+        ],
+    )
+    def test_extra_census_argument(self, capsys, tail, extra):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "4", "5", *tail])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {extra}" in captured.err
 
     def test_negative_depth(self, capsys):
         assert "--depth" in self.exit_one(capsys, ["verify", "4", "5", "--depth", "-1"])
@@ -319,13 +352,16 @@ def cli_argv(draw):
     cmd = draw(st.sampled_from(["genfunc", "census", "verify", "asym"]))
     p = draw(st.sampled_from(["inf", *map(str, range(3, 9))]))
     argv = [cmd, p, str(draw(st.integers(3, 8)))]
+    options = ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
     if cmd == "census":
-        argv.append(str(draw(st.integers(-1, 200))))
         if draw(st.booleans()):
-            argv.append("--types")
+            options.append("--types")
+        # n goes anywhere after q: before, between or after the options
+        n = str(draw(st.integers(-1, 200)))
+        options.insert(draw(st.sampled_from([0, 2, len(options)])), n)
     elif cmd == "verify":
-        argv += ["--depth", str(draw(st.integers(-1, 12))), "--budget", str(draw(st.integers(1, 5000)))]
-    return argv + ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
+        options += ["--depth", str(draw(st.integers(-1, 12))), "--budget", str(draw(st.integers(1, 5000)))]
+    return argv + options
 
 
 def _parses(fmt: str, out: str) -> bool:
@@ -352,4 +388,4 @@ def test_any_argv_ends_in_a_documented_exit(argv):
     if code == 1:
         assert err.getvalue().strip() and not out.getvalue(), argv
     else:
-        assert _parses(argv[-1], out.getvalue()), argv
+        assert _parses(argv[argv.index("--format") + 1], out.getvalue()), argv

@@ -1,7 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+import importlib.util
+from pathlib import Path
 
-from conftest import gf_add
+import pytest
+from hypothesis import example, given, strategies as st
+
+from conftest import gf_add, reference_series
+from pqcensus.genfunc import Schlafli, derive
 from pqcensus.polyarith import (
     IntPoly,
     NonUnitDenominator,
@@ -16,6 +20,17 @@ from pqcensus.polyarith import (
     pseudo_rem,
     series_coeffs,
 )
+from pqcensus.recurrence import rec_eval, rec_from_gf
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def census_pool() -> list[tuple[int, int]]:
+    """The algebra-sweep census symbols, read from the benchmark's workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.CENSUS_ANCHOR] + [s for pool in workloads.CENSUS_BINS.values() for s in pool]
 
 
 def P(*cs):
@@ -154,6 +169,19 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_coeffs(gf_normalize(P(1), P(1)), -1)
 
+    def test_polynomial(self):
+        # den = (1,), as for the c series of {3,9}: no taps, zeros past num
+        assert series_coeffs(gf_normalize(P(2, 0, -3), P(1)), 5) == [2, 0, -3, 0, 0, 0]
+        assert series_coeffs(gf_normalize(P(2, 0, -3), P(1)), 1) == [2, 0]
+        assert series_coeffs(derive(Schlafli(3, 9)).c, 4) == [0] * 5
+
+    @pytest.mark.parametrize("s", census_pool(), ids=str)
+    def test_census_pool_matches_reference(self, s):
+        # real denominators, terms of a few thousand digits
+        cgf = derive(Schlafli(*s))
+        for gf in (cgf.v, cgf.a, cgf.b, cgf.c):
+            assert series_coeffs(gf, 3000) == reference_series(gf.num.coeffs, gf.den.coeffs, 3000)
+
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=7))
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -204,6 +232,23 @@ def test_gf_add_matches_series(num, den):
     gf = gf_normalize(num, den)
     doubled = gf_add(gf, gf)
     assert series_coeffs(doubled, 10) == [2 * c for c in series_coeffs(gf, 10)]
+
+
+@given(
+    num=st.lists(st.integers(-20, 20), max_size=11),
+    taps=st.lists(st.sampled_from([-1, 0, 1]) | st.integers(-7, 7), max_size=8),
+    n=st.integers(0, 40),
+)
+@example(num=[1], taps=[1, 0, 1], n=12)  # only -1 taps: the sum starts negated
+@example(num=[1, 2], taps=[-6, -4, -6, 1], n=12)  # {5,8}: 6(v1 + v3) + 4v2 - v4
+def test_grouped_taps_match_long_division(num, taps, n):
+    """Zero, repeated and +-1 taps (one branch of the tap strategy draws only
+    0 and +-1), with numerators shorter or longer than den."""
+    den = [1] + taps
+    gf = gf_normalize(IntPoly(num), IntPoly(den))
+    expected = reference_series(num, den, n)
+    assert series_coeffs(gf, n) == expected
+    assert rec_eval(rec_from_gf(gf), n) == expected
 
 
 def test_rational_gf_equality_is_canonical():

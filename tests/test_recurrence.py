@@ -2,7 +2,7 @@ import pytest
 
 from conftest import admissible_symbols, fibonacci_check
 from pqcensus.genfunc import INFINITY, Schlafli, derive
-from pqcensus.polyarith import series_coeffs
+from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
@@ -55,6 +55,22 @@ class TestEval:
         rec = rec_from_gf(derive(Schlafli(4, 5)).v)
         with pytest.raises(ValueError):
             rec_eval(rec, -1)
+
+    def test_order_zero(self):
+        # a polynomial GF: no taps, every term past the prefix is 0
+        rec = rec_from_gf(gf_normalize(IntPoly([3, 0, -1]), IntPoly([1])))
+        assert (rec.order, rec.rec_coeffs, rec.initial_terms) == (0, (), (3, 0, -1))
+        assert rec_eval(rec, 6) == [3, 0, -1, 0, 0, 0, 0]
+        assert rec_eval(rec, 1) == [3, 0]
+        assert rec_eval(rec, 0) == [3]
+        assert rec_eval(rec_from_gf(gf_normalize(IntPoly(), IntPoly([1]))), 3) == [0] * 4
+
+    def test_truncation_inside_long_prefix(self):
+        # {9,3}: nine initial terms, so n_max = 0..8 only slices the prefix
+        rec = rec_from_gf(derive(Schlafli(9, 3)).v)
+        full = rec_eval(rec, 12)
+        for n in range(len(rec.initial_terms)):
+            assert rec_eval(rec, n) == list(rec.initial_terms[: n + 1]) == full[: n + 1]
 
 
 @pytest.mark.parametrize("s", GRID, ids=str)
