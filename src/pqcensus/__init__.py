@@ -14,9 +14,7 @@ from pqcensus.polyarith import (
     RationalGF,
     ZeroDenominatorConstant,
     gf_normalize,
-    poly_add,
     poly_div_exact,
-    poly_mul,
     series_coeffs,
 )
 from pqcensus.genfunc import (
@@ -55,8 +53,6 @@ __all__ = [
     "RationalGF",
     "NotDivisible",
     "ZeroDenominatorConstant",
-    "poly_add",
-    "poly_mul",
     "poly_div_exact",
     "gf_normalize",
     "series_coeffs",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pqcensus.polyarith import IntPoly, RationalGF, gf_normalize
+from pqcensus.polyarith import ZERO, IntPoly, RationalGF, gf_normalize
 
 CASE_TREE = "TREE"
 CASE_EVEN = "EVEN"
@@ -121,17 +121,20 @@ class CensusGF:
     c: RationalGF
 
 
+def _census(
+    s: Schlafli, tag: str, common: IntPoly, a_num: IntPoly, b_num: IntPoly = ZERO, c_num: IntPoly = ZERO
+) -> CensusGF:
+    """Reduce each class numerator over the common denominator, and v as
+    the one numerator common + a + b + c over it."""
+    a, b, c = (gf_normalize(num, common) for num in (a_num, b_num, c_num))
+    v = gf_normalize(common + a_num + b_num + c_num, common)
+    return CensusGF(s, tag, v, a, b, c)
+
+
 def gf_infinite(q: int) -> CensusGF:
     """Census of the q-regular tree: a(n) = q(q-1)^(n-1) for n >= 1."""
-    if not isinstance(q, int) or q < 3:
-        raise BadDegree(f"vertex degree q must be an integer >= 3, got {q!r}")
     s = Schlafli(INFINITY, q)
-    common = IntPoly([1, -(q - 1)])
-    a_num = IntPoly([0, q])
-    a = gf_normalize(a_num, common)
-    b = c = gf_normalize(IntPoly(), IntPoly([1]))
-    v = gf_normalize(common + a_num, common)
-    return CensusGF(s, CASE_TREE, v, a, b, c)
+    return _census(s, CASE_TREE, IntPoly([1, -(q - 1)]), IntPoly([0, q]))
 
 
 def gf_even(p: int, q: int) -> CensusGF:
@@ -154,14 +157,9 @@ def gf_even(p: int, q: int) -> CensusGF:
     den[1] -= q - 1
     den[r] += q - 1
     den[r + 1] -= 1
-    common = IntPoly(den)
     a_num = IntPoly([0, q] + [0] * (r - 2) + [-2 * q, q])
     b_num = IntPoly([0] * r + [q, -q])
-    a = gf_normalize(a_num, common)
-    b = gf_normalize(b_num, common)
-    c = gf_normalize(IntPoly(), IntPoly([1]))
-    v = gf_normalize(common + a_num + b_num, common)
-    return CensusGF(s, CASE_EVEN, v, a, b, c)
+    return _census(s, CASE_EVEN, IntPoly(den), a_num, b_num)
 
 
 def gf_triangle(q: int) -> CensusGF:
@@ -174,19 +172,11 @@ def gf_triangle(q: int) -> CensusGF:
 
         a = qz(1 - z) / den,   b = qz^2 / den,   v = (1 + 4z + z^2) / den.
     """
-    if not isinstance(q, int) or q < 3:
-        raise BadDegree(f"vertex degree q must be an integer >= 3, got {q!r}")
-    if q <= 5:
-        raise SphericalOutOfScope(3, q)
     s = Schlafli(3, q)
+    if not s.admissible():
+        raise SphericalOutOfScope(3, q)
     common = IntPoly([1, -(q - 4), 1])
-    a_num = IntPoly([0, q, -q])
-    b_num = IntPoly([0, 0, q])
-    a = gf_normalize(a_num, common)
-    b = gf_normalize(b_num, common)
-    c = gf_normalize(IntPoly(), IntPoly([1]))
-    v = gf_normalize(common + a_num + b_num, common)
-    return CensusGF(s, CASE_TRIANGLE, v, a, b, c)
+    return _census(s, CASE_TRIANGLE, common, IntPoly([0, q, -q]), IntPoly([0, 0, q]))
 
 
 def gf_odd(p: int, q: int) -> CensusGF:
@@ -214,16 +204,11 @@ def gf_odd(p: int, q: int) -> CensusGF:
     den[r + 1] -= 2
     den[2 * r] += q - 1
     den[2 * r + 1] -= 1
-    common = IntPoly(den)
     a_num = IntPoly([0, q]) * IntPoly([1] + [0] * (r - 1) + [1])
     a_num = a_num * IntPoly([1] + [0] * (r - 2) + [-2, 1])
     b_num = IntPoly([0] * (2 * r) + [q, -q])
     c_num = IntPoly([0] * r + [2 * q, -2 * q])
-    a = gf_normalize(a_num, common)
-    b = gf_normalize(b_num, common)
-    c = gf_normalize(c_num, common)
-    v = gf_normalize(common + a_num + b_num + c_num, common)
-    return CensusGF(s, CASE_ODD, v, a, b, c)
+    return _census(s, CASE_ODD, IntPoly(den), a_num, b_num, c_num)
 
 
 def derive(s: Schlafli) -> CensusGF:

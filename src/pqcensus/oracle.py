@@ -21,20 +21,23 @@ The q-regular tree {inf,q} grows by the same rounds with a simpler step:
 a vertex missing edges gets one pendant edge to a new leaf at a time, until
 it has q.
 
-Census trust: a vertex is saturated when all q of its faces are closed
-(for the tree case p = infinity, when all q edges are present).  The
-report covers generation n only if every vertex at distance <= n is
-saturated; generation zero is always exact.  Counts past that horizon are
-withheld rather than reported partially.  The census BFS therefore stops at
-the first generation holding an unsaturated vertex: it visits only the ball
-one generation past the trusted depth, not the whole face closure the
-builder had to create around it (for {8,8} at depth 5, about 22 thousand of
-780 thousand vertices).  ``classify`` reuses that BFS; ``dump_map`` and
-``distances`` run a full one.
+Census trust: a vertex is saturated when it has q edges and is off the
+boundary, so for a disk all q of its faces are closed (a tree has no
+boundary, so q edges suffice).  The report covers generation n only if
+every vertex at distance <= n is saturated; generation zero is always
+exact.  Counts past that horizon are withheld rather than reported
+partially.  The census BFS therefore stops at the first generation holding
+an unsaturated vertex: it visits only the ball one generation past the
+trusted depth, not the whole face closure the builder had to create around
+it (for {8,8} at depth 5, about 22 thousand of 780 thousand vertices).
+``classify`` reuses that BFS; ``dump_map`` runs a full one through
+``distances``.
 
 Storage is flat: a few lists indexed by half-edge id (origin, next, prev)
-and a few indexed by vertex id (degree, closed faces, boundary half-edge,
-any half-edge), with no container object per vertex or per face.
+and a few indexed by vertex id (degree, boundary half-edge, any half-edge),
+with no container object per vertex or per face.  Closed faces per vertex
+are not stored: the saturation rule reads degree == q and no boundary
+half-edge, and the glue run extends across boundary vertices of degree q.
 Adjacency is not stored separately; a vertex's neighbors are read off the
 rotation system.  Half-edge conventions: half-edges are allocated in twin
 pairs, so twin(h) = h ^ 1.  ``next`` points along the incident face cycle
@@ -127,16 +130,12 @@ class PlanarMap:
         self._he_prev: list[int] = []
         self._faces: list[int] = []  # one half-edge per closed face
         self._v_deg: list[int] = [0]
-        self._v_faces: list[int] = [0]
-        self._v_bhe: list[int] = [-1]  # outgoing boundary half-edge, -1 if none
+        # outgoing boundary half-edge, -1 if none: a vertex is saturated
+        # when its degree is q and this is -1 (trees never set it)
+        self._v_bhe: list[int] = [-1]
         self._v_half: list[int] = [-1]  # any outgoing half-edge
-        self._outer = -1
-        # saturated once its entry reaches q: edges for a tree, closed faces
-        # for a disk
-        self._sat = self._v_deg if symbol.is_tree else self._v_faces
-        # BFS results, each tagged with the half-edge count it was taken at
-        # (every mutation adds half-edges, so a stale entry is recognized)
-        self._dist_cache: tuple[int, list[int]] | None = None
+        # horizon BFS, tagged with the half-edge count it was taken at (every
+        # mutation adds half-edges, so a stale entry is recognized)
         self._horizon_cache: tuple[int, int, list[int], list[list[int]]] | None = None
 
     # -- read-only surface ------------------------------------------------
@@ -160,14 +159,8 @@ class PlanarMap:
     def degree(self, v: int) -> int:
         return self._v_deg[v]
 
-    def closed_face_count(self, v: int) -> int:
-        return self._v_faces[v]
-
     def is_saturated(self, v: int) -> bool:
-        return self._sat[v] == self.symbol.q
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotation(v)
+        return self._v_deg[v] == self.symbol.q and self._v_bhe[v] < 0
 
     def twin(self, h: int) -> int:
         return h ^ 1
@@ -207,37 +200,17 @@ class PlanarMap:
                 raise RuntimeError(f"face walk for {f} does not close")
         return tuple(out)
 
-    def boundary_vertices(self) -> list[int]:
-        """Boundary cycle order; empty for trees and the bare origin."""
-        if self._outer < 0:
-            return []
-        out = []
-        h = self._outer
-        while True:
-            out.append(self._he_origin[h])
-            h = self._he_next[h]
-            if h == self._outer:
-                break
-            if len(out) > len(self._he_origin):
-                raise RuntimeError("boundary walk does not close")
-        return out
-
-    def distances(self, cap: int | None = None) -> list[int]:
-        """Graph distance from the origin for every vertex (frontier BFS).
-
-        With ``cap``, vertices farther than cap stay at -1.  The uncapped
-        result is cached until the map grows again; treat it as read-only.
-        """
-        if cap is not None:
-            return self._bfs(cap)[0]
-        if self._dist_cache is None or self._dist_cache[0] != self.half_edge_count:
-            self._dist_cache = (self.half_edge_count, self._bfs()[0])
-        return self._dist_cache[1]
+    def distances(self) -> list[int]:
+        """Graph distance from the origin for every vertex (full BFS)."""
+        return self._bfs()[0]
 
     # -- breadth-first search ---------------------------------------------
 
     def _unsaturated_in(self, level: list[int]) -> bool:
-        return min(map(self._sat.__getitem__, level)) < self.symbol.q
+        return (
+            min(map(self._v_deg.__getitem__, level)) < self.symbol.q
+            or max(map(self._v_bhe.__getitem__, level)) >= 0
+        )
 
     def _bfs(self, cap: int | None = None, horizon: bool = False) -> tuple[list[int], list[list[int]]]:
         """Generation-by-generation BFS from the origin: (dist, levels).
@@ -295,7 +268,6 @@ class PlanarMap:
 
     def _new_vertex(self) -> int:
         self._v_deg.append(0)
-        self._v_faces.append(0)
         self._v_bhe.append(-1)
         self._v_half.append(-1)
         return len(self._v_deg) - 1
@@ -332,27 +304,25 @@ class PlanarMap:
             self._he_next[ts[i]] = ts[i - 1]
             self._he_prev[ts[i - 1]] = ts[i]
         for j in range(p):
-            self._v_faces[cyc[j]] = 1
             self._v_bhe[cyc[j]] = ts[(j - 1) % p]
-        self._outer = ts[0]
 
     def _attach_face(self, v: int, budget: int | None):
         """Glue one new p-gon into the open gap behind boundary vertex v."""
         p, q = self.symbol.p, self.symbol.q
-        faces, deg = self._v_faces, self._v_deg
+        deg = self._v_deg
         origin = self._he_origin
         nxt, prv = self._he_next, self._he_prev
         h_out = self._v_bhe[v]
         if h_out < 0:
             raise RuntimeError(f"attach requested at interior vertex {v}")
         run = [prv[h_out]]
-        # A vertex with q-1 faces must be swallowed whole by its last face,
-        # so the glue run is forced to extend across it.
-        while faces[origin[run[-1] ^ 1]] == q - 1:
+        # A boundary vertex with q edges (q - 1 faces) must be swallowed
+        # whole by its last face, so the glue run is forced to extend across it.
+        while deg[origin[run[-1] ^ 1]] == q:
             run.append(nxt[run[-1]])
             if len(run) >= p:
                 raise RuntimeError("glue run exceeded face degree")
-        while faces[origin[run[0]]] == q - 1:
+        while deg[origin[run[0]]] == q:
             run.insert(0, prv[run[0]])
             if len(run) >= p:
                 raise RuntimeError("glue run exceeded face degree")
@@ -394,18 +364,14 @@ class PlanarMap:
         deg += [2] * m
         deg[uk] += 1
         deg[u0] += 1
-        faces += [1] * m
-        for w in verts:
-            faces[w] += 1
         bhe = self._v_bhe
         for w in verts[1:-1]:
-            if faces[w] != q or deg[w] != q:
+            if deg[w] != q:
                 raise RuntimeError(f"swallowed vertex {w} ended unsaturated")
             bhe[w] = -1
         bhe[u0] = ts[-1]
         bhe += ts[:m]
         self._v_half += ts[:m]
-        self._outer = ts[0]
 
     def _attach_leaf(self, v: int, budget: int | None):
         """Hang one new leaf off tree vertex v.
@@ -426,7 +392,7 @@ class PlanarMap:
         nxt[b], prv[h0] = h0, b
 
     def _grow(self, depth: int, budget: int | None):
-        q, sat = self.symbol.q, self._sat
+        q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
         if self.symbol.is_tree:
             attach = self._attach_leaf
         else:
@@ -440,11 +406,11 @@ class PlanarMap:
         # targets.
         for _ in range(depth + 2):
             # unsaturated vertices within depth, nearest first, then by id
-            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if sat[v] < q]
+            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if deg[v] < q or bhe[v] >= 0]
             if not targets:
                 return
             for v in targets:
-                while sat[v] < q:
+                while deg[v] < q or bhe[v] >= 0:
                     attach(v, budget)
         raise RuntimeError("growth failed to reach the requested depth")
 
@@ -483,7 +449,7 @@ def bfs_census(m: PlanarMap) -> CensusReport:
     return CensusReport(m.symbol, trusted, tuple(len(level) for level in levels[: trusted + 1]))
 
 
-def vertex_profile(m: PlanarMap, v: int, dist: list[int] | None = None) -> VertexProfile:
+def vertex_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
     """Parent/child/sibling/cousin census of v's neighborhood.
 
     Same-generation neighbors sharing a parent with v are fraternal
@@ -491,8 +457,6 @@ def vertex_profile(m: PlanarMap, v: int, dist: list[int] | None = None) -> Verte
     truncated BFS: a neighbor it never reached lies past v's generation and
     counts as a child, never as a parent.
     """
-    if dist is None:
-        dist = m.distances()
     d = dist[v]
     parents = children = fraternal = consortial = 0
     pset = None

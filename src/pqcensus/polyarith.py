@@ -70,11 +70,6 @@ class IntPoly:
         n = max(len(self.coeffs), len(o.coeffs))
         return IntPoly([self[i] + o[i] for i in range(n)])
 
-    def __sub__(self, other: IntPoly | int) -> IntPoly:
-        o = _coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return IntPoly([self[i] - o[i] for i in range(n)])
-
     def __neg__(self) -> IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
@@ -110,12 +105,6 @@ class IntPoly:
             g = gcd(g, c)
         return g
 
-    def shift(self, k: int) -> IntPoly:
-        """Multiply by z^k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __repr__(self) -> str:
         return f"IntPoly('{self}')"
 
@@ -142,16 +131,6 @@ ONE = IntPoly([1])
 
 def _coerce(x: IntPoly | int) -> IntPoly:
     return IntPoly([x]) if isinstance(x, int) else x
-
-
-def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Coefficientwise sum with canonical trailing-zero trim."""
-    return a + b
-
-
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact convolution product."""
-    return a * b
 
 
 def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -22,15 +22,13 @@ from pqcensus.polyarith import RationalGF, extend_recurrence, series_coeffs
 class LinRec:
     """Constant-coefficient recurrence with its exact launch window.
 
+    ``rec_coeffs`` holds c_1..c_d, so its length is the order d.
     ``initial_terms`` covers indices 0..max(deg P, d-1); the recurrence is
-    trusted only beyond that.  ``inhomogeneous_prefix`` lists the indices
-    where the numerator contributes a nonzero correction.
+    trusted only beyond that.
     """
 
-    order: int
     rec_coeffs: tuple[int, ...]
     initial_terms: tuple[int, ...]
-    inhomogeneous_prefix: tuple[int, ...]
 
 
 def rec_from_gf(gf: RationalGF) -> LinRec:
@@ -39,8 +37,7 @@ def rec_from_gf(gf: RationalGF) -> LinRec:
     coeffs = tuple(-gf.den[i] for i in range(1, d + 1))
     n_init = max(gf.num.degree, d - 1)
     initial = tuple(series_coeffs(gf, n_init)) if n_init >= 0 else ()
-    prefix = tuple(n for n, c in enumerate(gf.num.coeffs) if c)
-    return LinRec(d, coeffs, initial, prefix)
+    return LinRec(coeffs, initial)
 
 
 def rec_eval(rec: LinRec, n_max: int) -> list[int]:

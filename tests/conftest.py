@@ -23,41 +23,41 @@ def admissible_symbols(ps, qs):
 
 
 def check_map_structure(m: PlanarMap):
-    """Audit the half-edge structure: faces, rotations, counters, simplicity."""
+    """Audit the half-edge structure: faces, rotations, saturation, simplicity.
+
+    Closed faces per vertex are counted by walking every face cycle, not
+    read from the map's own state: a saturated vertex lies on q faces, any
+    other vertex with edges on degree - 1 (one open gap on the boundary).
+    """
     p, q = m.symbol.p, m.symbol.q
     n_edges = m.half_edge_count // 2
     assert m.half_edge_count % 2 == 0
-    deg_sum = 0
-    for v in range(m.vertex_count):
-        nbrs = m.neighbors(v)
-        deg_sum += len(nbrs)
-        assert len(nbrs) == m.degree(v)
-        assert v not in nbrs, f"loop at {v}"
-        assert len(set(nbrs)) == len(nbrs), f"multi-edge at {v}"
-        rot = m.rotation(v)
-        assert sorted(rot) == sorted(nbrs), f"rotation of {v} is not a permutation"
-        if m.is_saturated(v):
-            assert m.degree(v) == q
-        if not m.symbol.is_tree:
-            if m.is_saturated(v):
-                assert m.closed_face_count(v) == q
-            elif m.degree(v) > 0:
-                assert m.closed_face_count(v) == m.degree(v) - 1
-    assert deg_sum == 2 * n_edges
-    for h in range(m.half_edge_count):
-        assert m.twin(m.twin(h)) == h
-        assert m.origin_of(m.twin(h)) == m.head_of(h)
-    corner_count = 0
+    faces_at = [0] * m.vertex_count
     for f in range(m.face_count):
         cyc = m.face_vertices(f)
         assert len(cyc) == p, f"face {f} has degree {len(cyc)}"
         assert len(set(cyc)) == p
-        corner_count += p
+        for v in cyc:
+            faces_at[v] += 1
+    deg_sum = 0
+    for v in range(m.vertex_count):
+        rot = m.rotation(v)
+        deg_sum += len(rot)
+        assert len(rot) == m.degree(v)
+        assert v not in rot, f"loop at {v}"
+        assert len(set(rot)) == len(rot), f"multi-edge at {v}"
+        if not m.symbol.is_tree:
+            if m.is_saturated(v):
+                assert faces_at[v] == q, f"saturated vertex {v} lies on {faces_at[v]} faces"
+            elif m.degree(v) > 0:
+                assert faces_at[v] == m.degree(v) - 1, f"boundary vertex {v} lies on {faces_at[v]} faces"
+    assert deg_sum == 2 * n_edges
+    for h in range(m.half_edge_count):
+        assert m.twin(m.twin(h)) == h
+        assert m.origin_of(m.twin(h)) == m.head_of(h)
     if not m.symbol.is_tree and m.face_count:
         # disk Euler characteristic, counting only closed faces
         assert m.vertex_count - n_edges + m.face_count == 1
-        face_sum = sum(m.closed_face_count(v) for v in range(m.vertex_count))
-        assert face_sum == corner_count
 
 
 def _face_extremes(m: PlanarMap, f: int, dist):
@@ -76,11 +76,10 @@ def _adjacent_on_face(positions, size):
     return (j - i) % size in (1, size - 1)
 
 
-def face_extremes_audit(m: PlanarMap, trusted: int):
+def face_extremes_audit(m: PlanarMap, trusted: int, dist: list[int]):
     """Every closed face inside the trusted region has a unique earliest
     vertex or earliest edge, and likewise at the latest end, with the span
-    fixed by the face degree."""
-    dist = m.distances()
+    fixed by the face degree.  ``dist`` is ``m.distances()``."""
     p = m.symbol.p
     span = p // 2 if p % 2 == 0 else (p - 1) // 2
     checked = 0
@@ -102,11 +101,10 @@ def face_extremes_audit(m: PlanarMap, trusted: int):
     return checked
 
 
-def latest_vertex_face_audit(m: PlanarMap, trusted: int, types: dict[int, str]):
+def latest_vertex_face_audit(m: PlanarMap, trusted: int, types: dict[int, str], dist: list[int]):
     """Even case: every two-parent vertex inside the trusted region is the
     unique latest vertex of exactly one face, whose earliest vertex lies
-    p/2 generations earlier."""
-    dist = m.distances()
+    p/2 generations earlier.  ``dist`` is ``m.distances()``."""
     p = m.symbol.p
     r = p // 2
     hits: dict[int, int] = {}

@@ -93,7 +93,7 @@ class TestBuildMap:
         assert len(ring1) == 7
         for v in ring1:
             assert m.is_saturated(v)
-            assert vertex_profile(m, v) == VertexProfile(1, 4, 2, 0)
+            assert vertex_profile(m, v, dist) == VertexProfile(1, 4, 2, 0)
 
     def test_pentagonal_census_matches_series(self):
         m = build_map(Schlafli(5, 4), 4)
@@ -129,6 +129,12 @@ class TestBuildMap:
         text = dump_map(build_map(Schlafli(INFINITY, q), depth))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_deep_map_size(self):
+        # the face closure the builder makes around ball(5) of {8,8}, as
+        # recorded in the ROADMAP baseline
+        m = build_map(Schlafli(8, 8), 5, vertex_budget=None)
+        assert (m.vertex_count, m.face_count) == (779_793, 133_680)
+
     def test_rejects_spherical(self):
         with pytest.raises(BadSymbol):
             build_map(Schlafli(4, 3), 2)
@@ -144,6 +150,28 @@ class TestBuildMap:
         assert rep.trusted_depth == err.achieved_depth
         exp = series_coeffs(derive(Schlafli(4, 5)).v, rep.trusted_depth)
         assert list(rep.v) == exp
+
+
+class TestStructureAudit:
+    """``check_map_structure`` counts faces on the face cycles themselves,
+    so it rejects a map whose stored state disagrees with them."""
+
+    def test_claimed_saturation(self):
+        m = build_map(Schlafli(6, 4), 2)
+        check_map_structure(m)
+        # a boundary vertex with q edges still has one open gap
+        v = next(v for v in range(m.vertex_count) if m.degree(v) == 4 and not m.is_saturated(v))
+        m._v_bhe[v] = -1
+        with pytest.raises(AssertionError, match=f"saturated vertex {v} lies on 3 faces"):
+            check_map_structure(m)
+
+    def test_redirected_face_cycle(self):
+        m = build_map(Schlafli(4, 5), 2)
+        check_map_structure(m)
+        h = m._faces[0]
+        m._he_next[h] = m._he_next[m._he_next[h]]
+        with pytest.raises(AssertionError, match="face 0 has degree 3"):
+            check_map_structure(m)
 
 
 class TestClassify:
@@ -202,7 +230,7 @@ def test_rotation_covers_edge_list(pq, sample_maps):
 @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
 def test_face_extremes(pq, sample_maps):
     m, rep = sample_maps[pq]
-    assert face_extremes_audit(m, rep.trusted_depth) > 0
+    assert face_extremes_audit(m, rep.trusted_depth, m.distances()) > 0
 
 
 @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE if Schlafli(*pq).p % 2 == 0], ids=str)
@@ -214,7 +242,7 @@ def test_latest_vertex_bijection_even(pq, sample_maps):
         for v in range(m.vertex_count)
         if 0 < dist[v] <= rep.trusted_depth
     }
-    latest_vertex_face_audit(m, rep.trusted_depth, types)
+    latest_vertex_face_audit(m, rep.trusted_depth, types, dist)
 
 
 @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
@@ -230,7 +258,7 @@ def test_filial_double_count(pq, sample_maps):
     for v in range(m.vertex_count):
         d = dist[v]
         if 1 <= d <= t:
-            filial[d] += sum(1 for w in m.neighbors(v) if dist[w] == d - 1)
+            filial[d] += sum(1 for w in m.rotation(v) if dist[w] == d - 1)
     a, b, c = rep.a, rep.b, rep.c
     if cgf.case_tag == CASE_TRIANGLE:
         child_a, child_bc = q - 3, q - 4
@@ -326,11 +354,13 @@ class TestBoundedCensus:
             classify(m, replace(rep, trusted_depth=rep.trusted_depth + 1))
 
     def test_truncated_distances(self, sample_maps):
+        # the census BFS stops one generation past the trusted depth
         m, rep = sample_maps[(5, 4)]
         full = m.distances()
-        cut = m.distances(cap=2)
-        assert cut == [d if d <= 2 else -1 for d in full]
+        trusted, cut, _ = m._horizon()
+        edge = trusted + 1
+        assert cut == [d if d <= edge else -1 for d in full]
         # neighbors the truncated BFS never reached are children, not parents
         for v in range(m.vertex_count):
-            if full[v] == 2:
+            if full[v] == edge:
                 assert vertex_profile(m, v, cut) == vertex_profile(m, v, full)

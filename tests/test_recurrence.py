@@ -11,14 +11,11 @@ GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
 class TestExtraction:
     def test_order_two(self):
         rec = rec_from_gf(derive(Schlafli(4, 5)).v)
-        assert rec.order == 2
         assert rec.rec_coeffs == (3, -1)
         assert rec.initial_terms == (1, 5, 15)
-        assert rec.inhomogeneous_prefix == (0, 1, 2)
 
     def test_geometric(self):
         rec = rec_from_gf(derive(Schlafli(INFINITY, 3)).v)
-        assert rec.order == 1
         assert rec.rec_coeffs == (2,)
         assert rec.initial_terms == (1, 3)
 
@@ -29,8 +26,9 @@ class TestExtraction:
 
     def test_zero_numerator(self):
         rec = rec_from_gf(derive(Schlafli(4, 5)).b)
-        assert rec.initial_terms[:2] == (0, 0)
-        assert rec.inhomogeneous_prefix == (2,)
+        # b = 5z^2 / (1 - 3z + z^2): the prefix runs to the numerator's degree
+        assert rec.rec_coeffs == (3, -1)
+        assert rec.initial_terms == (0, 0, 5)
 
 
 class TestEval:
@@ -59,7 +57,7 @@ class TestEval:
     def test_order_zero(self):
         # a polynomial GF: no taps, every term past the prefix is 0
         rec = rec_from_gf(gf_normalize(IntPoly([3, 0, -1]), IntPoly([1])))
-        assert (rec.order, rec.rec_coeffs, rec.initial_terms) == (0, (), (3, 0, -1))
+        assert (rec.rec_coeffs, rec.initial_terms) == ((), (3, 0, -1))
         assert rec_eval(rec, 6) == [3, 0, -1, 0, 0, 0, 0]
         assert rec_eval(rec, 1) == [3, 0]
         assert rec_eval(rec, 0) == [3]
