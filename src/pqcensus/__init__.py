@@ -20,20 +20,14 @@ from pqcensus.polyarith import (
 from pqcensus.genfunc import (
     INFINITY,
     BadDegree,
-    BadShape,
     CensusGF,
     Schlafli,
     SphericalOutOfScope,
     derive,
-    gf_even,
-    gf_infinite,
-    gf_odd,
-    gf_triangle,
 )
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 from pqcensus.oracle import (
     BudgetExceeded,
-    BadSymbol,
     CensusReport,
     PlanarMap,
     StructureViolation,
@@ -60,12 +54,7 @@ __all__ = [
     "Schlafli",
     "CensusGF",
     "BadDegree",
-    "BadShape",
     "SphericalOutOfScope",
-    "gf_infinite",
-    "gf_even",
-    "gf_triangle",
-    "gf_odd",
     "derive",
     "LinRec",
     "rec_from_gf",
@@ -74,7 +63,6 @@ __all__ = [
     "CensusReport",
     "VertexProfile",
     "BudgetExceeded",
-    "BadSymbol",
     "StructureViolation",
     "build_map",
     "build_tree",

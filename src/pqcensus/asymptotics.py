@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from pqcensus.genfunc import Schlafli
+from pqcensus.genfunc import Schlafli, SphericalOutOfScope
 from pqcensus.polyarith import IntPoly, RationalGF, primitive, pseudo_rem
 
 HYPERBOLIC = "HYPERBOLIC"
@@ -58,7 +58,7 @@ def growth(gf: RationalGF, s: Schlafli) -> GrowthInfo:
     if s.euclidean():
         return GrowthInfo(EUCLIDEAN, None, None, 1.0, None)
     if not s.hyperbolic():
-        raise ValueError(f"{s} is not admissible")
+        raise SphericalOutOfScope(s.p, s.q)
     lo, hi = _certify_smallest_root(gf.den)
     mid = (lo + hi) / 2
     return GrowthInfo(HYPERBOLIC, float(mid), (lo, hi), float(1 / mid), _amplitude(gf, mid))

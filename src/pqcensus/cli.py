@@ -28,19 +28,18 @@ import io
 import json
 import os
 import sys
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 from pqcensus import asymptotics, oracle
 from pqcensus.genfunc import (
     INFINITY,
     BadDegree,
-    BadShape,
     CensusGF,
     Schlafli,
     SphericalOutOfScope,
     derive,
 )
-from pqcensus.oracle import BadSymbol, BudgetExceeded, StructureViolation
+from pqcensus.oracle import BudgetExceeded, StructureViolation
 from pqcensus.polyarith import series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
@@ -121,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _symbol_json(s: Schlafli) -> dict:
-    return {"p": "inf" if s.is_tree else s.p, "q": s.q}
+def _symbol_json(p, q) -> dict:
+    return {"p": "inf" if p is INFINITY else p, "q": q}
 
 
 def _ints(xs) -> list[str]:
@@ -137,7 +136,7 @@ def _ints(xs) -> list[str]:
 
 def record_genfunc(cgf: CensusGF) -> dict:
     return {
-        "symbol": _symbol_json(cgf.symbol),
+        "symbol": _symbol_json(cgf.symbol.p, cgf.symbol.q),
         "case_tag": cgf.case_tag,
         "gf": {"num": _ints(cgf.v.num.coeffs), "den": _ints(cgf.v.den.coeffs)},
     }
@@ -168,7 +167,18 @@ def record_asym(cgf: CensusGF) -> dict:
     return rec
 
 
-def record_verify(cgf: CensusGF, depth: int, budget: int, dump_path: str | None) -> tuple[dict, int]:
+def _open_dump(path: str | None):
+    """Open the --dump-map file before the build, so a path that cannot be
+    written is a usage error rather than a failure after the work."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _usage_error(f"cannot write --dump-map file: {exc}")
+
+
+def record_verify(cgf: CensusGF, depth: int, budget: int, dump: TextIO | None) -> tuple[dict, int]:
     budget_limited = False
     try:
         m = oracle.build_map(cgf.symbol, depth, budget)
@@ -206,9 +216,8 @@ def record_verify(cgf: CensusGF, depth: int, budget: int, dump_path: str | None)
         "match": first_mismatch is None,
         "first_mismatch": first_mismatch,
     }
-    if dump_path:
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            fh.write(oracle.dump_map(m, report))
+    if dump is not None:
+        dump.write(oracle.dump_map(m, report))
     return rec, EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
@@ -314,13 +323,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "asym":
             rec, code = record_asym(cgf), EXIT_OK
         else:
-            rec, code = record_verify(cgf, args.depth, budget, args.dump_map)
-    except (SphericalOutOfScope, BadDegree, BadShape, BadSymbol) as exc:
-        err = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "symbol": {"p": "inf" if args.p is INFINITY else args.p, "q": args.q},
-        }
+            with _open_dump(args.dump_map) as dump:
+                rec, code = record_verify(cgf, args.depth, budget, dump)
+    except (SphericalOutOfScope, BadDegree) as exc:
+        err = {"error": type(exc).__name__, "message": str(exc), "symbol": _symbol_json(args.p, args.q)}
         sys.stdout.write(emit(err))
         return EXIT_OUT_OF_SCOPE
     except StructureViolation as exc:

@@ -19,7 +19,9 @@ v = 1 + a + b + c as one numerator over that denominator and lets
 thus become test assertions instead of code paths.
 
 Admissibility (2(p+q) <= pq, i.e. 1/p + 1/q <= 1/2) is decided in exact
-integer arithmetic; the finitely many spherical symbols are rejected.
+integer arithmetic.  ``derive`` is the entry point and the one place here a
+spherical symbol is refused, with ``SphericalOutOfScope`` (the error the
+oracle and the growth analysis raise too); the case helpers trust it.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ CASE_ODD = "ODD"
 
 class BadDegree(ValueError):
     """p or q below the minimum of 3."""
-
-
-class BadShape(ValueError):
-    """A case-specific constructor was handed the wrong parity of p."""
 
 
 class SphericalOutOfScope(ValueError):
@@ -131,13 +129,13 @@ def _census(
     return CensusGF(s, tag, v, a, b, c)
 
 
-def gf_infinite(q: int) -> CensusGF:
+def _tree(s: Schlafli) -> CensusGF:
     """Census of the q-regular tree: a(n) = q(q-1)^(n-1) for n >= 1."""
-    s = Schlafli(INFINITY, q)
+    q = s.q
     return _census(s, CASE_TREE, IntPoly([1, -(q - 1)]), IntPoly([0, q]))
 
 
-def gf_even(p: int, q: int) -> CensusGF:
+def _even(s: Schlafli) -> CensusGF:
     """Census for finite even p = 2r.
 
     Counting filial edges two ways and pairing each two-parent vertex with
@@ -146,12 +144,7 @@ def gf_even(p: int, q: int) -> CensusGF:
 
         a = qz(1 - 2z^(r-1) + z^r) / den,   b = qz^r (1 - z) / den.
     """
-    if not isinstance(p, int) or p < 4 or p % 2:
-        raise BadShape(f"even-case face degree must be an even integer >= 4, got {p!r}")
-    s = Schlafli(p, q)
-    if not s.admissible():
-        raise SphericalOutOfScope(p, q)
-    r = p // 2
+    q, r = s.q, s.p // 2
     den = [0] * (r + 2)
     den[0] = 1
     den[1] -= q - 1
@@ -162,7 +155,7 @@ def gf_even(p: int, q: int) -> CensusGF:
     return _census(s, CASE_EVEN, IntPoly(den), a_num, b_num)
 
 
-def gf_triangle(q: int) -> CensusGF:
+def _triangle(s: Schlafli) -> CensusGF:
     """Census for p = 3, stated for the sibling-edge-free reduced graph.
 
     Dropping the same-generation sibling edges merges triangle pairs into
@@ -172,14 +165,12 @@ def gf_triangle(q: int) -> CensusGF:
 
         a = qz(1 - z) / den,   b = qz^2 / den,   v = (1 + 4z + z^2) / den.
     """
-    s = Schlafli(3, q)
-    if not s.admissible():
-        raise SphericalOutOfScope(3, q)
+    q = s.q
     common = IntPoly([1, -(q - 4), 1])
     return _census(s, CASE_TRIANGLE, common, IntPoly([0, q, -q]), IntPoly([0, 0, q]))
 
 
-def gf_odd(p: int, q: int) -> CensusGF:
+def _odd(s: Schlafli) -> CensusGF:
     """Census for finite odd p = 2r + 1 >= 5.
 
     Faces now straddle generations asymmetrically: a face's earliest or
@@ -191,12 +182,7 @@ def gf_odd(p: int, q: int) -> CensusGF:
         b = qz^(2r)(1 - z) / den,
         c = 2qz^r (1 - z) / den.
     """
-    if not isinstance(p, int) or p < 5 or p % 2 == 0:
-        raise BadShape(f"odd-case face degree must be an odd integer >= 5, got {p!r}")
-    s = Schlafli(p, q)
-    if not s.admissible():
-        raise SphericalOutOfScope(p, q)
-    r = (p - 1) // 2
+    q, r = s.q, (s.p - 1) // 2
     den = [0] * (2 * r + 2)
     den[0] = 1
     den[1] -= q - 1
@@ -212,13 +198,14 @@ def gf_odd(p: int, q: int) -> CensusGF:
 
 
 def derive(s: Schlafli) -> CensusGF:
-    """Dispatch to the applicable case for an admissible symbol."""
-    if s.is_tree:
-        return gf_infinite(s.q)
+    """Census generating functions of s; raises SphericalOutOfScope unless
+    s is admissible, then dispatches to the one case that applies."""
     if not s.admissible():
         raise SphericalOutOfScope(s.p, s.q)
+    if s.is_tree:
+        return _tree(s)
     if s.p == 3:
-        return gf_triangle(s.q)
+        return _triangle(s)
     if s.p % 2 == 0:
-        return gf_even(s.p, s.q)
-    return gf_odd(s.p, s.q)
+        return _even(s)
+    return _odd(s)

@@ -49,13 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from pqcensus.genfunc import INFINITY, Schlafli
+from pqcensus.genfunc import INFINITY, Schlafli, SphericalOutOfScope
 
 DEFAULT_VERTEX_BUDGET = 200_000
-
-
-class BadSymbol(ValueError):
-    """The symbol cannot be built: it is spherical."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -65,13 +61,12 @@ class BudgetExceeded(RuntimeError):
     (still structurally valid) map, so callers may keep what was verified.
     """
 
-    def __init__(self, achieved_depth: int, vertex_count: int, partial_map: "PlanarMap"):
-        self.achieved_depth = achieved_depth
-        self.vertex_count = vertex_count
+    def __init__(self, partial_map: "PlanarMap"):
+        self.achieved_depth = partial_map._horizon()[0]
         self.partial_map = partial_map
         super().__init__(
-            f"vertex budget reached at {vertex_count} vertices; "
-            f"saturated depth achieved: {achieved_depth}"
+            f"vertex budget reached at {partial_map.vertex_count} vertices; "
+            f"saturated depth achieved: {self.achieved_depth}"
         )
 
 
@@ -139,10 +134,6 @@ class PlanarMap:
         self._horizon_cache: tuple[int, int, list[int], list[list[int]]] | None = None
 
     # -- read-only surface ------------------------------------------------
-
-    @property
-    def origin(self) -> int:
-        return 0
 
     @property
     def vertex_count(self) -> int:
@@ -289,7 +280,7 @@ class PlanarMap:
         """Lay down the first p-gon through the bare origin."""
         p = self.symbol.p
         if budget is not None and p > budget:
-            raise BudgetExceeded(0, self.vertex_count, self)
+            raise BudgetExceeded(self)
         cyc = [0] + [self._new_vertex() for _ in range(p - 1)]
         cs = []
         for i in range(p):
@@ -334,7 +325,7 @@ class PlanarMap:
         u0, uk = verts[0], verts[-1]
         nv0 = len(deg)
         if budget is not None and m > 0 and nv0 + m > budget:
-            raise BudgetExceeded(self._horizon()[0], nv0, self)
+            raise BudgetExceeded(self)
         if m == 0 and u0 in self.rotation(uk):
             raise RuntimeError("closing chord already present; map would lose simplicity")
         before, after = prv[run[0]], nxt[run[-1]]
@@ -381,7 +372,7 @@ class PlanarMap:
         """
         nv0 = len(self._v_deg)
         if budget is not None and nv0 + 1 > budget:
-            raise BudgetExceeded(self._horizon()[0], nv0, self)
+            raise BudgetExceeded(self)
         nxt, prv = self._he_next, self._he_prev
         h0 = self._v_half[v]
         a, b = self._new_edge(v, self._new_vertex())
@@ -425,7 +416,7 @@ def build_map(s: Schlafli, min_saturated_depth: int, vertex_budget: int | None =
     depth + 1, so its saturation horizon is exactly the requested depth.
     """
     if not s.admissible():
-        raise BadSymbol(f"{s} is spherical; only Euclidean and hyperbolic symbols are built")
+        raise SphericalOutOfScope(s.p, s.q)
     if min_saturated_depth < 0:
         raise ValueError("min_saturated_depth must be >= 0")
     m = PlanarMap(s)

@@ -37,6 +37,8 @@ from pqcensus.recurrence import rec_eval, rec_from_gf
 
 FULL_GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
 ORACLE_GRID = admissible_symbols(range(3, 9), range(3, 9))
+# maps up to this size get the face geometry audits (capped for runtime)
+AUDITED_VERTICES = 150_000
 
 
 @contextmanager
@@ -56,6 +58,8 @@ def oracle_grid():
     The default vertex budget is tried first; the handful of fast-growing
     symbols whose depth-5 saturation closure provably exceeds it are rebuilt
     with the budget override the builder provides for exactly this purpose.
+    Only the maps the face geometry audits read are kept (None otherwise),
+    so the module does not hold all 3.7 million grid vertices at once.
     """
     t0 = time.perf_counter()
     results = {}
@@ -68,7 +72,8 @@ def oracle_grid():
             overridden.append(str(s))
             m = build_map(s, 5, vertex_budget=None)
         report = classify(m, bfs_census(m))
-        results[s] = (m, report)
+        results[s] = (m if m.vertex_count <= AUDITED_VERTICES else None, report)
+        del m  # free a large map before the next build
     elapsed = time.perf_counter() - t0
     return results, overridden, elapsed
 
@@ -227,10 +232,10 @@ def test_property_suite(oracle_grid):
         for s in FULL_GRID:
             gf = derive(s).v
             assert rec_eval(rec_from_gf(gf), 200) == series_coeffs(gf, 200), str(s)
-        # face geometry audit on the oracle maps (capped for runtime)
+        # face geometry audit on the oracle maps the fixture kept
         audited = 0
         for s, (m, rep) in results.items():
-            if m.vertex_count > 150_000:
+            if m is None:
                 continue
             dist = m.distances()
             assert face_extremes_audit(m, rep.trusted_depth, dist) > 0, str(s)

@@ -343,6 +343,20 @@ class TestUsageErrors:
         monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
         assert cli.BUDGET_ENV_VAR in self.exit_one(capsys, ["verify", "4", "5", "--depth", "1"])
 
+    @pytest.mark.parametrize("target", ["missing-dir/x", "."])
+    def test_unwritable_dump_path(self, capsys, monkeypatch, tmp_path, target):
+        # the path is opened before the build, so a bad one costs no work
+        def no_build(*args):
+            raise AssertionError("build_map ran before the dump path was checked")
+
+        monkeypatch.setattr(cli.oracle, "build_map", no_build)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "4", "5", "--depth", "2", "--dump-map", str(tmp_path / target)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "error: cannot write --dump-map" in captured.err
+
 
 @st.composite
 def cli_argv(draw):

@@ -8,16 +8,13 @@ from pqcensus.genfunc import (
     CASE_TRIANGLE,
     INFINITY,
     BadDegree,
-    BadShape,
     Schlafli,
     SphericalOutOfScope,
     derive,
-    gf_even,
-    gf_infinite,
-    gf_odd,
-    gf_triangle,
 )
-from pqcensus.polyarith import series_coeffs
+from pqcensus.asymptotics import growth
+from pqcensus.oracle import build_map
+from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
 
 GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
 
@@ -69,87 +66,75 @@ def test_reduced_forms(pq):
 
 class TestTree:
     def test_q3(self):
-        cgf = gf_infinite(3)
+        cgf = derive(Schlafli(INFINITY, 3))
         assert cgf.case_tag == CASE_TREE
         assert cgf.v.num.coeffs == (1, 1)
         assert cgf.v.den.coeffs == (1, -2)
         assert series_coeffs(cgf.v, 4) == [1, 3, 6, 12, 24]
 
     def test_q4_closed_form(self):
-        cgf = gf_infinite(4)
+        cgf = derive(Schlafli(INFINITY, 4))
         assert series_coeffs(cgf.v, 5)[5] == 4 * 3**4
 
     def test_v0(self):
-        assert series_coeffs(gf_infinite(3).v, 0) == [1]
+        assert series_coeffs(derive(Schlafli(INFINITY, 3)).v, 0) == [1]
 
     def test_bad_degree(self):
         with pytest.raises(BadDegree):
-            gf_infinite(2)
+            derive(Schlafli(INFINITY, 2))
 
 
 class TestEven:
     def test_octagonal_series(self):
         # independently derived: common denominator with r=4, q=3
-        cgf = gf_even(8, 3)
+        cgf = derive(Schlafli(8, 3))
         assert series_coeffs(cgf.v, 4) == [1, 3, 6, 12, 21]
 
     def test_class_series_start(self):
-        cgf = gf_even(4, 5)
+        cgf = derive(Schlafli(4, 5))
         assert series_coeffs(cgf.a, 1) == [0, 5]
         assert series_coeffs(cgf.b, 2) == [0, 0, 5]
 
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
-            gf_even(4, 3)
-
-    def test_rejects_odd_p(self):
-        with pytest.raises(BadShape):
-            gf_even(5, 4)
-        with pytest.raises(BadShape):
-            gf_even(3, 7)
+            derive(Schlafli(4, 3))
 
 
 class TestTriangle:
     def test_reduced_graph_classes(self):
         # {3,6} reduced graph: six one-parent vertices per generation
-        cgf = gf_triangle(6)
+        cgf = derive(Schlafli(3, 6))
         assert series_coeffs(cgf.a, 4) == [0, 6, 6, 6, 6]
         assert series_coeffs(cgf.b, 4) == [0, 0, 6, 12, 18]
 
     def test_q8_second_generation(self):
-        assert series_coeffs(gf_triangle(8).v, 2) == [1, 8, 32]
+        assert series_coeffs(derive(Schlafli(3, 8)).v, 2) == [1, 8, 32]
 
     def test_rejects_spherical(self):
         for q in (3, 4, 5):
             with pytest.raises(SphericalOutOfScope):
-                gf_triangle(q)
+                derive(Schlafli(3, q))
 
 
 class TestOdd:
     def test_pentagon_order_four(self):
-        cgf = gf_odd(5, 4)
+        cgf = derive(Schlafli(5, 4))
         assert cgf.v.num.coeffs == (1, 2, 4, 2, 1)
         assert cgf.v.den.coeffs == (1, -2, 0, -2, 1)
         assert series_coeffs(cgf.v, 5) == [1, 4, 12, 28, 64, 148]
 
     def test_heptagonal_series(self):
-        cgf = gf_odd(7, 3)
+        cgf = derive(Schlafli(7, 3))
         assert series_coeffs(cgf.v, 6) == [1, 3, 6, 12, 18, 30, 45]
 
     def test_class_series_starts(self):
-        cgf = gf_odd(5, 4)  # r=2
+        cgf = derive(Schlafli(5, 4))  # r=2
         assert series_coeffs(cgf.b, 4) == [0, 0, 0, 0, 4]
         assert series_coeffs(cgf.c, 2) == [0, 0, 8]
 
     def test_rejects_dodecahedron(self):
         with pytest.raises(SphericalOutOfScope):
-            gf_odd(5, 3)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(BadShape):
-            gf_odd(4, 5)
-        with pytest.raises(BadShape):
-            gf_odd(3, 7)
+            derive(Schlafli(5, 3))
 
 
 class TestDerive:
@@ -163,6 +148,19 @@ class TestDerive:
         with pytest.raises(SphericalOutOfScope) as exc:
             derive(Schlafli(3, 5))
         assert exc.value.p == 3 and exc.value.q == 5
+
+
+SPHERICAL = [Schlafli(p, q) for p, q in [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]]
+
+
+@pytest.mark.parametrize("s", SPHERICAL, ids=str)
+def test_spherical_refused_everywhere(s):
+    # derive, the oracle and the growth analysis share one scope rule and error
+    any_gf = gf_normalize(IntPoly([1]), IntPoly([1, -2]))
+    for call in (lambda: derive(s), lambda: build_map(s, 1), lambda: growth(any_gf, s)):
+        with pytest.raises(SphericalOutOfScope) as exc:
+            call()
+        assert (exc.value.p, exc.value.q) == (s.p, s.q)
 
 
 @pytest.mark.parametrize("s", GRID, ids=str)

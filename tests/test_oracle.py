@@ -10,9 +10,8 @@ from conftest import (
     latest_vertex_face_audit,
     reference_census,
 )
-from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TRIANGLE, INFINITY, Schlafli, derive
+from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TRIANGLE, INFINITY, Schlafli, SphericalOutOfScope, derive
 from pqcensus.oracle import (
-    BadSymbol,
     BudgetExceeded,
     PlanarMap,
     VertexProfile,
@@ -136,14 +135,14 @@ class TestBuildMap:
         assert (m.vertex_count, m.face_count) == (779_793, 133_680)
 
     def test_rejects_spherical(self):
-        with pytest.raises(BadSymbol):
+        with pytest.raises(SphericalOutOfScope):
             build_map(Schlafli(4, 3), 2)
 
     def test_budget_exceeded_reports_achieved_depth(self):
         with pytest.raises(BudgetExceeded) as exc:
             build_map(Schlafli(4, 5), 10, vertex_budget=500)
         err = exc.value
-        assert err.vertex_count <= 500
+        assert err.partial_map.vertex_count <= 500
         assert 0 <= err.achieved_depth < 10
         # the partial map stays usable and still verifies
         rep = bfs_census(err.partial_map)
