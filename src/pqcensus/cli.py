@@ -187,25 +187,12 @@ def record_verify(cgf: CensusGF, depth: int, budget: int, dump: TextIO | None) -
         budget_limited = True
     report = oracle.classify(m, oracle.bfs_census(m))
     t = report.trusted_depth
-    expected = {
-        "v": series_coeffs(cgf.v, t),
-        "a": series_coeffs(cgf.a, t),
-        "b": series_coeffs(cgf.b, t),
-        "c": series_coeffs(cgf.c, t),
-    }
-    actual = {"v": list(report.v), "a": list(report.a), "b": list(report.b), "c": list(report.c)}
     first_mismatch = None
-    for kind in ("v", "a", "b", "c"):
-        for n in range(t + 1):
-            if expected[kind][n] != actual[kind][n]:
-                first_mismatch = {
-                    "series": kind,
-                    "n": n,
-                    "expected": str(expected[kind][n]),
-                    "actual": str(actual[kind][n]),
-                }
-                break
-        if first_mismatch:
+    for kind in "vabc":
+        expected, actual = series_coeffs(getattr(cgf, kind), t), getattr(report, kind)
+        n = next((n for n in range(t + 1) if expected[n] != actual[n]), None)
+        if n is not None:
+            first_mismatch = {"series": kind, "n": n, "expected": str(expected[n]), "actual": str(actual[n])}
             break
     rec = record_genfunc(cgf)
     rec["oracle"] = {

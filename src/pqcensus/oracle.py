@@ -6,9 +6,12 @@ independently of the generating-function derivations: the builder knows
 nothing about vertex classes or recurrences, only the two local rules that
 every face has degree p and every vertex degree q.
 
-Construction works face by face along the disk boundary.  A boundary
-vertex with f incident closed faces has f + 1 edges (its faces form a fan
-with one open gap), so the vertex is finished exactly when it has q faces.
+Construction works face by face along the disk boundary.  A disk starts
+from one seed edge at the origin (the tree's pendant-edge step below), both
+of its sides on the boundary, and its first p-gon is glued along that edge
+by the same step as every other face.  A boundary vertex with f incident
+closed faces has f + 1 edges (its faces form a fan with one open gap), so
+the vertex is finished exactly when it has q faces.
 Attaching one p-gon means choosing a maximal run of consecutive boundary
 edges to glue along: a boundary vertex interior to the run gains a face
 but no edge, hence must have had q - 1 faces (the new face is its last),
@@ -257,46 +260,6 @@ class PlanarMap:
 
     # -- construction internals -------------------------------------------
 
-    def _new_vertex(self) -> int:
-        self._v_deg.append(0)
-        self._v_bhe.append(-1)
-        self._v_half.append(-1)
-        return len(self._v_deg) - 1
-
-    def _new_edge(self, u: int, w: int) -> tuple[int, int]:
-        h = len(self._he_origin)
-        self._he_origin.extend((u, w))
-        self._he_next.extend((-1, -1))
-        self._he_prev.extend((-1, -1))
-        self._v_deg[u] += 1
-        self._v_deg[w] += 1
-        if self._v_half[u] < 0:
-            self._v_half[u] = h
-        if self._v_half[w] < 0:
-            self._v_half[w] = h + 1
-        return h, h + 1
-
-    def _bootstrap(self, budget: int | None):
-        """Lay down the first p-gon through the bare origin."""
-        p = self.symbol.p
-        if budget is not None and p > budget:
-            raise BudgetExceeded(self)
-        cyc = [0] + [self._new_vertex() for _ in range(p - 1)]
-        cs = []
-        for i in range(p):
-            h, _ = self._new_edge(cyc[i], cyc[(i + 1) % p])
-            cs.append(h)
-        self._faces.append(cs[0])
-        for i in range(p):
-            self._he_next[cs[i]] = cs[(i + 1) % p]
-            self._he_prev[cs[(i + 1) % p]] = cs[i]
-        ts = [h ^ 1 for h in cs]  # ts[i] runs cyc[i+1] -> cyc[i]
-        for i in range(p):
-            self._he_next[ts[i]] = ts[i - 1]
-            self._he_prev[ts[i - 1]] = ts[i]
-        for j in range(p):
-            self._v_bhe[cyc[j]] = ts[(j - 1) % p]
-
     def _attach_face(self, v: int, budget: int | None):
         """Glue one new p-gon into the open gap behind boundary vertex v."""
         p, q = self.symbol.p, self.symbol.q
@@ -365,22 +328,31 @@ class PlanarMap:
         self._v_half += ts[:m]
 
     def _attach_leaf(self, v: int, budget: int | None):
-        """Hang one new leaf off tree vertex v.
+        """Hang one new leaf off vertex v (a tree step, and a disk's seed edge).
 
         The pendant edge is spliced into v's rotation just before
         ``_v_half[v]``, so v's neighbors keep the order they were added in.
         """
-        nv0 = len(self._v_deg)
-        if budget is not None and nv0 + 1 > budget:
+        leaf = len(self._v_deg)
+        if budget is not None and leaf + 1 > budget:
             raise BudgetExceeded(self)
-        nxt, prv = self._he_next, self._he_prev
-        h0 = self._v_half[v]
-        a, b = self._new_edge(v, self._new_vertex())
-        # a bare vertex: the new edge's two sides form the whole cycle
-        ins, h0 = (prv[h0], h0) if h0 >= 0 else (b, a)
-        nxt[ins], prv[a] = a, ins
-        nxt[a], prv[b] = b, a
-        nxt[b], prv[h0] = h0, b
+        nxt, prv, half = self._he_next, self._he_prev, self._v_half
+        a = len(self._he_origin)  # runs v -> leaf, its twin b leaf -> v
+        b = a + 1
+        h0 = half[v]
+        if h0 < 0:  # a bare vertex: the new edge's two sides form the whole cycle
+            half[v] = h0 = a
+            ins = b
+        else:
+            ins = prv[h0]
+        self._he_origin += (v, leaf)
+        nxt += (b, h0)
+        prv += (ins, a)
+        nxt[ins], prv[h0] = a, b
+        self._v_deg[v] += 1
+        self._v_deg.append(1)
+        self._v_bhe.append(-1)
+        half.append(b)
 
     def _grow(self, depth: int, budget: int | None):
         q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
@@ -388,8 +360,14 @@ class PlanarMap:
             attach = self._attach_leaf
         else:
             attach = self._attach_face
-            if self.half_edge_count == 0:
-                self._bootstrap(budget)
+            # The first face is glued along a seed edge 0 -> 1 with both
+            # sides on the boundary, like every other face.  It is all or
+            # nothing: a budget below p leaves the bare origin.
+            if budget is not None and self.symbol.p > budget:
+                raise BudgetExceeded(self)
+            self._attach_leaf(0, budget)
+            bhe[:] = [0, 1]
+            self._attach_face(1, budget)
         # Every target of a round ends saturated, and once ball(r - 2) is
         # saturated no vertex can join ball(r - 1) or change distance inside
         # it.  So round r leaves ball(r - 1) saturated, ball(depth) is

@@ -100,10 +100,7 @@ class IntPoly:
 
     def content(self) -> int:
         """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPoly('{self}')"
@@ -187,9 +184,7 @@ def primitive(cs: list[int]) -> list[int]:
     """Coefficient list cs, trimmed and divided by its positive content."""
     while cs and cs[-1] == 0:
         cs.pop()
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
+    g = gcd(*cs)
     return [c // g for c in cs] if g > 1 else cs
 
 

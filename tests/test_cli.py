@@ -5,6 +5,7 @@ import io
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+CLI_REFS = json.loads(REFS.read_text())["cli"]
+DUMP = "{dump}"  # stands for the dump file in a reference key
 
 
 def run(capsys, *argv):
@@ -197,17 +200,21 @@ class TestVerify:
         assert text.startswith("# map p=4 q=5")
         assert any(line.split()[2] == "O" for line in text.splitlines()[2:])
 
+    def test_mismatch_record(self, capsys, monkeypatch):
+        # series are compared in the order v, a, b, c; the first differing
+        # term of the first differing series is reported
+        classify = cli.oracle.classify
 
-    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-    def test_dump_matches_recorded_digest(self, capsys, tmp_path, fmt):
-        # vertex numbering and rotation order are part of the output; the
-        # benchmark's reference file holds the digests recorded for them
-        ref = json.loads(REFS.read_text())["cli"][f"verify 4 5 --depth 6 --dump-map {{dump}} --format {fmt}"]
-        path = tmp_path / "map.txt"
-        code, out = run(capsys, "verify", "4", "5", "--depth", "6", "--dump-map", str(path), "--format", fmt)
-        assert code == ref["exit"]
-        assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["dump_sha256"]
+        def miscount(m, report):
+            rep = classify(m, report)
+            return replace(rep, v=rep.v[:3] + (rep.v[3] + 1,) + rep.v[4:], a=(0, rep.a[1] - 1) + rep.a[2:])
+
+        monkeypatch.setattr(cli.oracle, "classify", miscount)
+        code, out = run(capsys, "verify", "4", "5", "--depth", "4")
+        o = json.loads(out)["oracle"]
+        assert code == cli.EXIT_MISMATCH
+        assert o["match"] is False
+        assert o["first_mismatch"] == {"series": "v", "n": 3, "expected": "40", "actual": "41"}
 
 
 class TestAsym:
@@ -403,3 +410,22 @@ def test_any_argv_ends_in_a_documented_exit(argv):
         assert err.getvalue().strip() and not out.getvalue(), argv
     else:
         assert _parses(argv[argv.index("--format") + 1], out.getvalue()), argv
+
+
+@pytest.mark.parametrize("key", list(CLI_REFS))
+def test_matches_recorded_output(key, capsys, tmp_path, monkeypatch):
+    # every command the benchmark runs, against the exit code and digests
+    # recorded for it; vertex numbering and rotation order in a dump are
+    # part of the output
+    ref = CLI_REFS[key]
+    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+    dump = tmp_path / "map.txt"
+    code, out = run(capsys, *[str(dump) if a == DUMP else a for a in key.split()])
+    assert code == ref["exit"]
+    if ref["stdout_sha256"] is None:
+        # no correct output was ever recorded; the error record must be there
+        assert ref["stdout_contains"] in out
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
+    if DUMP in key:
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == ref["dump_sha256"]

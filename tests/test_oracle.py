@@ -134,6 +134,19 @@ class TestBuildMap:
         m = build_map(Schlafli(8, 8), 5, vertex_budget=None)
         assert (m.vertex_count, m.face_count) == (779_793, 133_680)
 
+    @pytest.mark.parametrize("pq", [(3, 7), (4, 5), (7, 3), (8, 8)], ids=str)
+    def test_first_face(self, pq):
+        # a budget of exactly p holds the first face and nothing more; its
+        # vertices are numbered around it from the origin
+        p = pq[0]
+        with pytest.raises(BudgetExceeded) as exc:
+            build_map(Schlafli(*pq), 0, vertex_budget=p)
+        m = exc.value.partial_map
+        assert (m.vertex_count, m.half_edge_count, m.face_count) == (p, 2 * p, 1)
+        assert m.face_vertices(0) == tuple(range(p))
+        assert m.rotation(0) == (1, p - 1)
+        check_map_structure(m)
+
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
             build_map(Schlafli(4, 3), 2)
@@ -340,11 +353,19 @@ class TestBoundedCensus:
         m = build_tree(q, depth)
         assert classify(m, bfs_census(m)) == reference_census(m)
 
-    def test_bare_origin(self):
+    @pytest.mark.parametrize(
+        "pq,budget",
+        [((8, 3), 5)] + [(pq, b) for pq in [(3, 7), (4, 5), (7, 3), (8, 8)] for b in sorted({1, 2, pq[0] - 1})],
+        ids=str,
+    )
+    def test_bare_origin(self, pq, budget):
+        # a budget below p cannot hold the first face, so not even its
+        # seed edge is laid
         with pytest.raises(BudgetExceeded) as exc:
-            build_map(Schlafli(8, 3), 2, vertex_budget=5)
+            build_map(Schlafli(*pq), 2, vertex_budget=budget)
         m = exc.value.partial_map
-        assert m.vertex_count == 1 and exc.value.achieved_depth == 0
+        assert m.vertex_count == 1 and m.half_edge_count == 0
+        assert exc.value.achieved_depth == 0
         assert classify(m, bfs_census(m)) == reference_census(m)
 
     def test_report_deeper_than_map(self, sample_maps):
