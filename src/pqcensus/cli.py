@@ -14,9 +14,12 @@ Four subcommands, all deterministic and machine-readable:
 object), csv (header plus rows), plain (labelled lines).  Large integers
 are serialized as decimal strings in JSON so nothing is rounded.
 
-Exit codes: 0 success, 1 usage (with a one-line message on stderr), 2 symbol
-out of scope, 3 verification mismatch, 4 structure violation.  Errors with
-codes 2 and 4 are emitted as records in the chosen format.
+Exit codes: 0 success, 1 usage, 2 symbol out of scope (spherical, p or q
+below 3, or p above 2048), 3 verification mismatch, 4 structure violation.
+A usage error ends in a one-line message on stderr; when argparse finds it
+(unknown subcommand, non-integer p or q, unrecognized arguments) the usage
+text comes first.  Errors with codes 2 and 4 are emitted as records in the
+chosen format.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 from typing import NoReturn, TextIO
 
@@ -49,7 +51,6 @@ EXIT_OUT_OF_SCOPE = 2
 EXIT_MISMATCH = 3
 EXIT_VIOLATION = 4
 
-BUDGET_ENV_VAR = "PQCENSUS_BUDGET"
 DEFAULT_CENSUS_N = 20
 
 
@@ -74,25 +75,12 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if not raw:
-        return oracle.DEFAULT_VERTEX_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        _usage_error(f"${BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    return budget
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pqcensus", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("p", type=_parse_p, help="face degree (integer >= 3 or 'inf')")
+        sp.add_argument("p", type=_parse_p, help="face degree (integer 3..2048 or 'inf')")
         sp.add_argument("q", type=int, help="vertex degree (integer >= 3)")
         sp.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
@@ -108,10 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--depth", type=int, default=6, help="saturated depth to certify (default 6)")
     sp.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"vertex budget (default {oracle.DEFAULT_VERTEX_BUDGET}, or ${BUDGET_ENV_VAR})",
+        "--budget", type=int, default=oracle.DEFAULT_VERTEX_BUDGET, help="vertex budget (default %(default)s)"
     )
     sp.add_argument("--dump-map", metavar="FILE", help="write the adjacency dump to FILE")
 
@@ -298,9 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.depth < 0:
             _usage_error(f"--depth must be >= 0, got {args.depth}")
-        if args.budget is not None and args.budget < 1:
+        if args.budget < 1:
             _usage_error(f"--budget must be a positive integer, got {args.budget}")
-        budget = args.budget if args.budget is not None else _default_budget()
     try:
         cgf = derive(Schlafli(args.p, args.q))
         if args.command == "genfunc":
@@ -311,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             rec, code = record_asym(cgf), EXIT_OK
         else:
             with _open_dump(args.dump_map) as dump:
-                rec, code = record_verify(cgf, args.depth, budget, dump)
+                rec, code = record_verify(cgf, args.depth, args.budget, dump)
     except (SphericalOutOfScope, BadDegree) as exc:
         err = {"error": type(exc).__name__, "message": str(exc), "symbol": _symbol_json(args.p, args.q)}
         sys.stdout.write(emit(err))

@@ -35,9 +35,13 @@ CASE_EVEN = "EVEN"
 CASE_TRIANGLE = "TRIANGLE"
 CASE_ODD = "ODD"
 
+# the derivations build dense polynomials of degree about p, and the growth
+# analysis runs a Sturm chain on them ({2001,3}: about 11 s on 2 vCPUs)
+MAX_FACE_DEGREE = 2048
+
 
 class BadDegree(ValueError):
-    """p or q below the minimum of 3."""
+    """p or q outside the supported range."""
 
 
 class SphericalOutOfScope(ValueError):
@@ -68,7 +72,7 @@ INFINITY = _Infinity()
 
 @dataclass(frozen=True)
 class Schlafli:
-    """Symbol {p,q}; p is an int >= 3 or INFINITY, q an int >= 3."""
+    """Symbol {p,q}; p is an int in 3..MAX_FACE_DEGREE or INFINITY, q an int >= 3."""
 
     p: int | _Infinity
     q: int
@@ -79,6 +83,8 @@ class Schlafli:
         if not isinstance(self.p, _Infinity):
             if not isinstance(self.p, int) or self.p < 3:
                 raise BadDegree(f"face degree p must be an integer >= 3 or INFINITY, got {self.p!r}")
+            if self.p > MAX_FACE_DEGREE:
+                raise BadDegree(f"face degree p must be at most {MAX_FACE_DEGREE}, got {self.p}")
 
     @property
     def is_tree(self) -> bool:

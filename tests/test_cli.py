@@ -166,9 +166,8 @@ class TestVerify:
         assert o["trusted_depth"] == 1
         assert o["vertices"] == 10
 
-    def test_tree_honours_default_budget(self, capsys, monkeypatch):
+    def test_tree_honours_default_budget(self, capsys):
         # the full tree, leaves at depth 13 included, would hold about 1.3e11 vertices
-        monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
         code, out = run(capsys, "verify", "inf", "8", "--depth", "12")
         o = json.loads(out)["oracle"]
         assert code == 0
@@ -184,14 +183,6 @@ class TestVerify:
         assert rec["oracle"]["trusted_depth"] < 8
         assert rec["oracle"]["match"] is True
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV_VAR, "400")
-        _, out = run(capsys, "verify", "4", "5", "--depth", "8")
-        assert json.loads(out)["oracle"]["budget_limited"] is True
-        # explicit flag wins over the environment
-        _, out = run(capsys, "verify", "4", "5", "--depth", "4", "--budget", "100000")
-        assert json.loads(out)["oracle"]["budget_limited"] is False
-
     def test_dump_map_file(self, capsys, tmp_path):
         path = tmp_path / "map.txt"
         code, _ = run(capsys, "verify", "4", "5", "--depth", "2", "--dump-map", str(path))
@@ -199,6 +190,22 @@ class TestVerify:
         text = path.read_text()
         assert text.startswith("# map p=4 q=5")
         assert any(line.split()[2] == "O" for line in text.splitlines()[2:])
+
+    def test_profile_violation_record(self, capsys, monkeypatch):
+        # a vertex whose neighborhood fits no class stops verify with exit 4
+        profile = cli.oracle.vertex_profile
+
+        def orphan(m, v, dist):
+            return VertexProfile(0, 4, 0, 0) if v == 1 else profile(m, v, dist)
+
+        monkeypatch.setattr(cli.oracle, "vertex_profile", orphan)
+        code, out = run(capsys, "verify", "4", "5", "--depth", "1")
+        assert code == cli.EXIT_VIOLATION
+        assert json.loads(out) == {
+            "error": "StructureViolation",
+            "message": "vertex 1 in generation 1 has profile "
+            "VertexProfile(parents=0, children=4, fraternal=0, consortial=0)",
+        }
 
     def test_mismatch_record(self, capsys, monkeypatch):
         # series are compared in the order v, a, b, c; the first differing
@@ -345,11 +352,6 @@ class TestUsageErrors:
     def test_nonpositive_budget(self, capsys, budget):
         assert "--budget" in self.exit_one(capsys, ["verify", "4", "5", "--budget", budget])
 
-    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-4"])
-    def test_malformed_env_budget(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
-        assert cli.BUDGET_ENV_VAR in self.exit_one(capsys, ["verify", "4", "5", "--depth", "1"])
-
     @pytest.mark.parametrize("target", ["missing-dir/x", "."])
     def test_unwritable_dump_path(self, capsys, monkeypatch, tmp_path, target):
         # the path is opened before the build, so a bad one costs no work
@@ -369,9 +371,10 @@ class TestUsageErrors:
 def cli_argv(draw):
     """Any subcommand and format over small symbols, with sizes capped so
     that no run builds more than 5000 vertices or sums more than 200 terms;
-    negative n and depth are included as usage errors."""
+    negative n and depth are included as usage errors, and p past the
+    supported range as out of scope."""
     cmd = draw(st.sampled_from(["genfunc", "census", "verify", "asym"]))
-    p = draw(st.sampled_from(["inf", *map(str, range(3, 9))]))
+    p = draw(st.sampled_from(["inf", *map(str, range(3, 9)), "2049", "100000001", "99999999999999999999"]))
     argv = [cmd, p, str(draw(st.integers(3, 8)))]
     options = ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
     if cmd == "census":
@@ -418,7 +421,8 @@ def test_matches_recorded_output(key, capsys, tmp_path, monkeypatch):
     # recorded for it; vertex numbering and rotation order in a dump are
     # part of the output
     ref = CLI_REFS[key]
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+    # the budget comes from argv alone: a variable of this name changes nothing
+    monkeypatch.setenv("PQCENSUS_BUDGET", "1")
     dump = tmp_path / "map.txt"
     code, out = run(capsys, *[str(dump) if a == DUMP else a for a in key.split()])
     assert code == ref["exit"]

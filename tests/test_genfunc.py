@@ -27,6 +27,12 @@ class TestSchlafli:
             Schlafli(2, 4)
         with pytest.raises(BadDegree):
             Schlafli(4, "five")
+        # p is bounded so that no derivation allocates a dense polynomial
+        # of unbounded degree; the message names the bound
+        for p in (2049, 100000001, 99999999999999999999):
+            with pytest.raises(BadDegree, match=f"at most 2048, got {p}$"):
+                Schlafli(p, 3)
+        assert Schlafli(2048, 3).hyperbolic()
 
     def test_admissibility_boundary(self):
         assert Schlafli(4, 4).euclidean()

@@ -14,6 +14,7 @@ from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TRIANGLE, INFINITY, Schla
 from pqcensus.oracle import (
     BudgetExceeded,
     PlanarMap,
+    StructureViolation,
     VertexProfile,
     _type_of,
     bfs_census,
@@ -209,6 +210,90 @@ class TestClassify:
         for (p, q), (m, rep) in sample_maps.items():
             for n in range(1, rep.trusted_depth + 1):
                 assert rep.a[n] + rep.b[n] + rep.c[n] == rep.v[n], (p, q, n)
+
+
+# profile (parents, children, fraternal, consortial) -> class tag, or None
+# where the classifier must refuse it; one symbol per case family
+PROFILE_TAGS = {
+    (INFINITY, 3): {
+        (1, 2, 0, 0): "A",
+        (1, 0, 0, 0): "A",
+        (0, 3, 0, 0): None,
+        (2, 1, 0, 0): None,
+        (1, 1, 1, 0): None,
+        (1, 1, 0, 1): None,
+    },
+    (3, 7): {
+        (1, 4, 2, 0): "A",
+        (2, 3, 2, 0): "B",
+        (0, 5, 2, 0): None,
+        (3, 2, 2, 0): None,
+        (1, 6, 0, 0): None,
+        (1, 5, 1, 0): None,
+        (1, 3, 2, 1): None,
+    },
+    (4, 5): {
+        (1, 4, 0, 0): "A",
+        (2, 3, 0, 0): "B",
+        (0, 5, 0, 0): None,
+        (3, 2, 0, 0): None,
+        (1, 3, 1, 0): None,
+        (1, 3, 0, 1): None,
+    },
+    (5, 4): {
+        (1, 3, 0, 0): "A",
+        (2, 2, 0, 0): "B",
+        (1, 2, 0, 1): "C",
+        (0, 4, 0, 0): None,
+        (3, 1, 0, 0): None,
+        (2, 1, 0, 1): None,
+        (1, 2, 1, 0): None,
+        (1, 1, 0, 2): None,
+    },
+}
+
+
+class TestClassifierProfiles:
+    """``_type_of`` decides a vertex's class from its profile alone; a
+    profile that fits no class raises, and ``dump_map`` tags the vertex
+    ``?`` instead."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        return {pq: build_map(Schlafli(*pq), 1) for pq in PROFILE_TAGS}
+
+    @pytest.mark.parametrize(
+        "pq, profile", [(pq, prof) for pq, tags in PROFILE_TAGS.items() for prof in tags], ids=str
+    )
+    def test_profile(self, maps, monkeypatch, pq, profile):
+        m = maps[pq]
+        dist = m.distances()
+        monkeypatch.setattr("pqcensus.oracle.vertex_profile", lambda *args: VertexProfile(*profile))
+        tag = PROFILE_TAGS[pq][profile]
+        if tag is None:
+            with pytest.raises(StructureViolation) as exc:
+                _type_of(m, 1, dist)
+            assert (exc.value.vertex, exc.value.generation) == (1, 1)
+            assert exc.value.profile == VertexProfile(*profile)
+        else:
+            assert _type_of(m, 1, dist) == tag
+
+    @pytest.mark.parametrize("pq", list(PROFILE_TAGS), ids=str)
+    def test_dump_marks_violation(self, maps, monkeypatch, pq):
+        m = maps[pq]
+        rep = bfs_census(m)
+        expected = dump_map(m, rep).splitlines()
+        profile = vertex_profile
+
+        def orphan(m, v, dist):
+            return VertexProfile(0, pq[1], 0, 0) if v == 1 else profile(m, v, dist)
+
+        monkeypatch.setattr("pqcensus.oracle.vertex_profile", orphan)
+        lines = dump_map(m, rep).splitlines()
+        row = expected[3].split()
+        assert row[:3] == ["1", "1", "A"]
+        assert lines[3] == " ".join([*row[:2], "?", *row[3:]])
+        assert lines[:3] + lines[4:] == expected[:3] + expected[4:]
 
 
 @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
