@@ -15,11 +15,12 @@ object), csv (header plus rows), plain (labelled lines).  Large integers
 are serialized as decimal strings in JSON so nothing is rounded.
 
 Exit codes: 0 success, 1 usage, 2 symbol out of scope (spherical, p or q
-below 3, or p above 2048), 3 verification mismatch, 4 structure violation.
+below 3, or p or q above 2048), 3 verification mismatch, 4 structure violation.
 A usage error ends in a one-line message on stderr; when argparse finds it
 (unknown subcommand, non-integer p or q, unrecognized arguments) the usage
-text comes first.  Errors with codes 2 and 4 are emitted as records in the
-chosen format.
+text comes first; a p or q past the interpreter's int digit limit is given
+by its length, on one line.  Errors with codes 2 and 4 are emitted as records
+in the chosen format.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ import csv
 import io
 import json
 import sys
+from functools import partial
+from itertools import zip_longest
 from typing import NoReturn, TextIO
 
 from pqcensus import asymptotics, oracle
 from pqcensus.genfunc import (
     INFINITY,
+    MAX_DEGREE,
     BadDegree,
     CensusGF,
     Schlafli,
@@ -61,13 +65,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_p(text: str):
-    if text.lower() == "inf":
+def _parse_degree(name: str, text: str):
+    """p or q from argv: an integer, for p also 'inf'; Schlafli checks the
+    bounds.  An integer past the interpreter's str-to-int digit limit is a
+    one-line usage error that gives its length, not its digits."""
+    if name == "p" and text.lower() == "inf":
         return INFINITY
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be an integer or 'inf', got {text!r}")
+        digits = text.strip().lstrip("+-")
+        if digits.isdecimal():  # int() refuses a decimal string only past the limit
+            _usage_error(
+                f"{name} has {len(digits)} digits, past the interpreter's {sys.get_int_max_str_digits()}-digit "
+                f"limit; {name} must be at most {MAX_DEGREE}"
+            )
+        inf = " or 'inf'" if name == "p" else ""
+        raise argparse.ArgumentTypeError(f"{name} must be an integer{inf}, got {text!r}")
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -80,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("p", type=_parse_p, help="face degree (integer 3..2048 or 'inf')")
-        sp.add_argument("q", type=int, help="vertex degree (integer >= 3)")
+        sp.add_argument("p", type=partial(_parse_degree, "p"), help="face degree (integer 3..2048 or 'inf')")
+        sp.add_argument("q", type=partial(_parse_degree, "q"), help="vertex degree (integer 3..2048)")
         sp.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
     sp = sub.add_parser("genfunc", help="derive the census generating function")
@@ -217,44 +231,26 @@ def _emit_plain(rec: dict) -> str:
 def _emit_csv(rec: dict) -> str:
     # one table per record kind: series tables when present, otherwise a
     # single row of the scalar fields
-    lines = []
     if "error" in rec:
-        # one row; the message may hold commas, so the row is quoted
-        row = {"error": rec["error"], "message": rec["message"], **rec.get("symbol", {})}
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([row.keys(), row.values()])
-        return buf.getvalue()
-    if "series" in rec:
-        types = rec.get("types")
-        header = "n,v" + (",a,b,c" if types else "")
-        lines.append(header)
-        for n, v in enumerate(rec["series"]):
-            row = f"{n},{v}"
-            if types:
-                row += f",{types['a'][n]},{types['b'][n]},{types['c'][n]}"
-            lines.append(row)
+        rows = [{"error": rec["error"], "message": rec["message"], **rec.get("symbol", {})}]
+    elif "series" in rec:
+        types = rec.get("types", {})
+        rows = [{"n": n, "v": v, **{k: col[n] for k, col in types.items()}} for n, v in enumerate(rec["series"])]
     elif "growth" in rec:
-        g = rec["growth"]
-        lines.append("classification,z0,lambda,amplitude,palindromic_den")
-        lines.append(
-            f"{g['classification']},{g['z0']},{g['lambda']},{g['amplitude']},{g['palindromic_den']}"
-        )
+        rows = [rec["growth"]]
     elif "oracle" in rec:
-        o = rec["oracle"]
-        lines.append("trusted_depth,requested_depth,vertices,match,first_mismatch")
-        mm = o["first_mismatch"]
-        mm_text = "" if mm is None else f"{mm['series']}[{mm['n']}] {mm['actual']}!={mm['expected']}"
-        lines.append(
-            f"{o['trusted_depth']},{o['requested_depth']},{o['vertices']},{o['match']},{mm_text}"
-        )
+        # budget_limited is left out, and a mismatch reads like v[3] 41!=40
+        o, mm = rec["oracle"], rec["oracle"]["first_mismatch"]
+        row = {k: o[k] for k in ("trusted_depth", "requested_depth", "vertices", "match")}
+        row["first_mismatch"] = "" if mm is None else f"{mm['series']}[{mm['n']}] {mm['actual']}!={mm['expected']}"
+        rows = [row]
     else:
-        num, den = rec["gf"]["num"], rec["gf"]["den"]
-        lines.append("power,num,den")
-        for i in range(max(len(num), len(den))):
-            n = num[i] if i < len(num) else ""
-            d = den[i] if i < len(den) else ""
-            lines.append(f"{i},{n},{d}")
-    return "\n".join(lines) + "\n"
+        pairs = zip_longest(rec["gf"]["num"], rec["gf"]["den"], fillvalue="")
+        rows = [{"power": i, "num": n, "den": d} for i, (n, d) in enumerate(pairs)]
+    # str() each value: csv writes None as an empty field, the other formats as None
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([rows[0].keys(), *(map(str, row.values()) for row in rows)])
+    return buf.getvalue()
 
 
 _EMITTERS = {"json": _emit_json, "plain": _emit_plain, "csv": _emit_csv}

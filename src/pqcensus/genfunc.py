@@ -18,10 +18,12 @@ v = 1 + a + b + c as one numerator over that denominator and lets
 ``gf_normalize`` cancel common factors.  The hand-reduced textbook forms
 thus become test assertions instead of code paths.
 
-Admissibility (2(p+q) <= pq, i.e. 1/p + 1/q <= 1/2) is decided in exact
-integer arithmetic.  ``derive`` is the entry point and the one place here a
-spherical symbol is refused, with ``SphericalOutOfScope`` (the error the
-oracle and the growth analysis raise too); the case helpers trust it.
+``Schlafli.case`` decides which derivation applies, for ``derive`` and the
+oracle's classifier alike.  Admissibility (2(p+q) <= pq, i.e. 1/p + 1/q <=
+1/2) is decided in exact integer arithmetic.  ``derive`` is the entry point
+and the one place here a spherical symbol is refused, with
+``SphericalOutOfScope`` (the error the oracle and the growth analysis raise
+too); the case helpers trust it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ CASE_TRIANGLE = "TRIANGLE"
 CASE_ODD = "ODD"
 
 # the derivations build dense polynomials of degree about p, and the growth
-# analysis runs a Sturm chain on them ({2001,3}: about 11 s on 2 vCPUs)
-MAX_FACE_DEGREE = 2048
+# analysis runs a Sturm chain on them ({2001,3}: about 11 s on 2 vCPUs); z0 is
+# about 1/q, certified to an absolute 2^-40 cell, so q is bounded as well
+MAX_DEGREE = 2048
 
 
 class BadDegree(ValueError):
@@ -72,7 +75,7 @@ INFINITY = _Infinity()
 
 @dataclass(frozen=True)
 class Schlafli:
-    """Symbol {p,q}; p is an int in 3..MAX_FACE_DEGREE or INFINITY, q an int >= 3."""
+    """Symbol {p,q}; p is an int in 3..MAX_DEGREE or INFINITY, q an int in 3..MAX_DEGREE."""
 
     p: int | _Infinity
     q: int
@@ -80,15 +83,27 @@ class Schlafli:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 3:
             raise BadDegree(f"vertex degree q must be an integer >= 3, got {self.q!r}")
+        if self.q > MAX_DEGREE:
+            raise BadDegree(f"vertex degree q must be at most {MAX_DEGREE}, got {self.q}")
         if not isinstance(self.p, _Infinity):
             if not isinstance(self.p, int) or self.p < 3:
                 raise BadDegree(f"face degree p must be an integer >= 3 or INFINITY, got {self.p!r}")
-            if self.p > MAX_FACE_DEGREE:
-                raise BadDegree(f"face degree p must be at most {MAX_FACE_DEGREE}, got {self.p}")
+            if self.p > MAX_DEGREE:
+                raise BadDegree(f"face degree p must be at most {MAX_DEGREE}, got {self.p}")
 
     @property
     def is_tree(self) -> bool:
         return isinstance(self.p, _Infinity)
+
+    @property
+    def case(self) -> str:
+        """Which of the four derivations applies; defined for spherical
+        symbols too, which ``derive`` and ``build_map`` refuse first."""
+        if self.is_tree:
+            return CASE_TREE
+        if self.p == 3:
+            return CASE_TRIANGLE
+        return CASE_EVEN if self.p % 2 == 0 else CASE_ODD
 
     def admissible(self) -> bool:
         """True when the tessellation is infinite: 1/p + 1/q <= 1/2."""
@@ -125,20 +140,18 @@ class CensusGF:
     c: RationalGF
 
 
-def _census(
-    s: Schlafli, tag: str, common: IntPoly, a_num: IntPoly, b_num: IntPoly = ZERO, c_num: IntPoly = ZERO
-) -> CensusGF:
+def _census(s: Schlafli, common: IntPoly, a_num: IntPoly, b_num: IntPoly = ZERO, c_num: IntPoly = ZERO) -> CensusGF:
     """Reduce each class numerator over the common denominator, and v as
     the one numerator common + a + b + c over it."""
     a, b, c = (gf_normalize(num, common) for num in (a_num, b_num, c_num))
     v = gf_normalize(common + a_num + b_num + c_num, common)
-    return CensusGF(s, tag, v, a, b, c)
+    return CensusGF(s, s.case, v, a, b, c)
 
 
 def _tree(s: Schlafli) -> CensusGF:
     """Census of the q-regular tree: a(n) = q(q-1)^(n-1) for n >= 1."""
     q = s.q
-    return _census(s, CASE_TREE, IntPoly([1, -(q - 1)]), IntPoly([0, q]))
+    return _census(s, IntPoly([1, -(q - 1)]), IntPoly([0, q]))
 
 
 def _even(s: Schlafli) -> CensusGF:
@@ -158,7 +171,7 @@ def _even(s: Schlafli) -> CensusGF:
     den[r + 1] -= 1
     a_num = IntPoly([0, q] + [0] * (r - 2) + [-2 * q, q])
     b_num = IntPoly([0] * r + [q, -q])
-    return _census(s, CASE_EVEN, IntPoly(den), a_num, b_num)
+    return _census(s, IntPoly(den), a_num, b_num)
 
 
 def _triangle(s: Schlafli) -> CensusGF:
@@ -173,7 +186,7 @@ def _triangle(s: Schlafli) -> CensusGF:
     """
     q = s.q
     common = IntPoly([1, -(q - 4), 1])
-    return _census(s, CASE_TRIANGLE, common, IntPoly([0, q, -q]), IntPoly([0, 0, q]))
+    return _census(s, common, IntPoly([0, q, -q]), IntPoly([0, 0, q]))
 
 
 def _odd(s: Schlafli) -> CensusGF:
@@ -200,7 +213,7 @@ def _odd(s: Schlafli) -> CensusGF:
     a_num = a_num * IntPoly([1] + [0] * (r - 2) + [-2, 1])
     b_num = IntPoly([0] * (2 * r) + [q, -q])
     c_num = IntPoly([0] * r + [2 * q, -2 * q])
-    return _census(s, CASE_ODD, IntPoly(den), a_num, b_num, c_num)
+    return _census(s, IntPoly(den), a_num, b_num, c_num)
 
 
 def derive(s: Schlafli) -> CensusGF:
@@ -208,10 +221,4 @@ def derive(s: Schlafli) -> CensusGF:
     s is admissible, then dispatches to the one case that applies."""
     if not s.admissible():
         raise SphericalOutOfScope(s.p, s.q)
-    if s.is_tree:
-        return _tree(s)
-    if s.p == 3:
-        return _triangle(s)
-    if s.p % 2 == 0:
-        return _even(s)
-    return _odd(s)
+    return {CASE_TREE: _tree, CASE_TRIANGLE: _triangle, CASE_EVEN: _even, CASE_ODD: _odd}[s.case](s)

@@ -34,7 +34,8 @@ an unsaturated vertex: it visits only the ball one generation past the
 trusted depth, not the whole face closure the builder had to create around
 it (for {8,8} at depth 5, about 22 thousand of 780 thousand vertices).
 ``classify`` reuses that BFS; ``dump_map`` runs a full one through
-``distances``.
+``distances``.  The classifier is one table per derivation case
+(``Schlafli.case``) from a vertex's parent/sibling/cousin profile to its class.
 
 Storage is flat: a few lists indexed by half-edge id (origin, next, prev)
 and a few indexed by vertex id (degree, boundary half-edge, any half-edge),
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from pqcensus.genfunc import INFINITY, Schlafli, SphericalOutOfScope
+from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TREE, CASE_TRIANGLE, INFINITY, Schlafli, SphericalOutOfScope
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -446,32 +447,27 @@ def vertex_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
     return VertexProfile(parents, children, fraternal, consortial)
 
 
-def _type_of(m: PlanarMap, v: int, dist: list[int]) -> str:
-    """Classify one saturated non-origin vertex as A, B or C.
+# (parents, fraternal, consortial) -> class, one table per case; children are
+# not checked.  For p = 3 every vertex has two sibling (fraternal) edges, and
+# the classes refer to the graph with those removed.
+_EVEN_CLASSES = {(1, 0, 0): "A", (2, 0, 0): "B"}
+_CLASSES = {
+    CASE_TREE: {(1, 0, 0): "A"},
+    CASE_TRIANGLE: {(1, 2, 0): "A", (2, 2, 0): "B"},
+    CASE_EVEN: _EVEN_CLASSES,
+    CASE_ODD: {**_EVEN_CLASSES, (1, 0, 1): "C"},
+}
 
-    For p = 3 the sibling edges (two per vertex, linking each generation
-    into a cycle) are discounted first, so the classes refer to the reduced
-    quadrilateral graph.  Unexpected profiles raise StructureViolation.
-    """
+
+def _type_of(m: PlanarMap, v: int, dist: list[int]) -> str:
+    """Classify one saturated non-origin vertex as A, B or C by looking its
+    profile up in its case's table; unexpected profiles raise
+    StructureViolation."""
     prof = vertex_profile(m, v, dist)
-    if m.symbol.is_tree:
-        if prof == VertexProfile(1, prof.children, 0, 0):
-            return "A"
-    elif m.symbol.p == 3:
-        # every vertex carries exactly two sibling edges; classes refer to
-        # the graph with those removed
-        if prof.fraternal == 2 and prof.consortial == 0 and prof.parents in (1, 2):
-            return "AB"[prof.parents - 1]
-    elif m.symbol.p % 2 == 0:
-        if prof.fraternal == 0 and prof.consortial == 0 and prof.parents in (1, 2):
-            return "AB"[prof.parents - 1]
-    else:
-        if prof.fraternal == 0:
-            if prof.consortial == 0 and prof.parents in (1, 2):
-                return "AB"[prof.parents - 1]
-            if prof.consortial == 1 and prof.parents == 1:
-                return "C"
-    raise StructureViolation(v, dist[v], prof)
+    tag = _CLASSES[m.symbol.case].get((prof.parents, prof.fraternal, prof.consortial))
+    if tag is None:
+        raise StructureViolation(v, dist[v], prof)
+    return tag
 
 
 def classify(m: PlanarMap, report: CensusReport) -> CensusReport:

@@ -27,6 +27,13 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+@pytest.fixture
+def digit_limit():
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
 class TestGenfunc:
     def test_order_five_squares(self, capsys):
         code, out = run(capsys, "genfunc", "4", "5")
@@ -100,12 +107,6 @@ class TestCensus:
     def test_n_after_options(self, capsys, after, before):
         expected = run(capsys, "census", "4", "5", *before)
         assert run(capsys, "census", "4", "5", *after) == expected
-
-    @pytest.fixture
-    def digit_limit(self):
-        saved = sys.get_int_max_str_digits()
-        yield sys.set_int_max_str_digits
-        sys.set_int_max_str_digits(saved)
 
     def test_long_census_past_digit_limit(self, capsys, digit_limit):
         # v(12000) of {4,5} has more digits than the interpreter's default
@@ -209,7 +210,7 @@ class TestVerify:
 
     def test_mismatch_record(self, capsys, monkeypatch):
         # series are compared in the order v, a, b, c; the first differing
-        # term of the first differing series is reported
+        # term of the first differing series is reported, in every format
         classify = cli.oracle.classify
 
         def miscount(m, report):
@@ -217,14 +218,34 @@ class TestVerify:
             return replace(rep, v=rep.v[:3] + (rep.v[3] + 1,) + rep.v[4:], a=(0, rep.a[1] - 1) + rep.a[2:])
 
         monkeypatch.setattr(cli.oracle, "classify", miscount)
-        code, out = run(capsys, "verify", "4", "5", "--depth", "4")
-        o = json.loads(out)["oracle"]
-        assert code == cli.EXIT_MISMATCH
+        outs = {}
+        for fmt in ("json", "csv", "plain"):
+            code, outs[fmt] = run(capsys, "verify", "4", "5", "--depth", "4", "--format", fmt)
+            assert code == cli.EXIT_MISMATCH, fmt
+        o = json.loads(outs["json"])["oracle"]
         assert o["match"] is False
         assert o["first_mismatch"] == {"series": "v", "n": 3, "expected": "40", "actual": "41"}
+        # the csv row has no budget_limited column and spells the mismatch out
+        header, row = outs["csv"].splitlines()
+        assert header == "trusted_depth,requested_depth,vertices,match,first_mismatch"
+        assert row.endswith(",False,v[3] 41!=40")
+        lines = outs["plain"].splitlines()
+        assert "oracle.match False" in lines
+        assert "oracle.first_mismatch.series v" in lines
+        assert "oracle.first_mismatch.n 3" in lines
 
 
 class TestAsym:
+    def test_huge_q_out_of_scope(self, capsys):
+        # z0 ~ 1e-20 lies inside the first certified 2^-40 cell, so no rate
+        # could be reported right: q is bounded like p
+        code, out = run(capsys, "asym", "4", "99999999999999999999", "--format", "csv")
+        assert code == cli.EXIT_OUT_OF_SCOPE
+        header, row = csv.reader(out.splitlines())
+        assert header == ["error", "message", "p", "q"]
+        big = "99999999999999999999"
+        assert row == ["BadDegree", f"vertex degree q must be at most 2048, got {big}", "4", big]
+
     def test_hyperbolic(self, capsys):
         _, out = run(capsys, "asym", "4", "5")
         g = json.loads(out)["growth"]
@@ -352,6 +373,20 @@ class TestUsageErrors:
     def test_nonpositive_budget(self, capsys, budget):
         assert "--budget" in self.exit_one(capsys, ["verify", "4", "5", "--budget", budget])
 
+    @pytest.mark.parametrize(
+        "name, argv", [("p", ["genfunc", "1" * 4400, "5"]), ("q", ["asym", "4", "9" * 4400, "--format", "csv"])]
+    )
+    def test_degree_past_digit_limit(self, capsys, digit_limit, name, argv):
+        # an integer too long for int() is a one-line usage error that gives
+        # its length and the bound, without echoing its digits
+        digit_limit(4300)
+        err = self.exit_one(capsys, argv)
+        assert err == (
+            f"pqcensus: error: {name} has 4400 digits, past the interpreter's 4300-digit limit; "
+            f"{name} must be at most 2048\n"
+        )
+        assert len(err) < 200
+
     @pytest.mark.parametrize("target", ["missing-dir/x", "."])
     def test_unwritable_dump_path(self, capsys, monkeypatch, tmp_path, target):
         # the path is opened before the build, so a bad one costs no work
@@ -371,11 +406,12 @@ class TestUsageErrors:
 def cli_argv(draw):
     """Any subcommand and format over small symbols, with sizes capped so
     that no run builds more than 5000 vertices or sums more than 200 terms;
-    negative n and depth are included as usage errors, and p past the
+    negative n and depth are included as usage errors, and p or q past the
     supported range as out of scope."""
     cmd = draw(st.sampled_from(["genfunc", "census", "verify", "asym"]))
     p = draw(st.sampled_from(["inf", *map(str, range(3, 9)), "2049", "100000001", "99999999999999999999"]))
-    argv = [cmd, p, str(draw(st.integers(3, 8)))]
+    q = draw(st.sampled_from([*map(str, range(3, 9)), "2049", "99999999999999999999"]))
+    argv = [cmd, p, q]
     options = ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
     if cmd == "census":
         if draw(st.booleans()):

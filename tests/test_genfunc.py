@@ -33,6 +33,14 @@ class TestSchlafli:
             with pytest.raises(BadDegree, match=f"at most 2048, got {p}$"):
                 Schlafli(p, 3)
         assert Schlafli(2048, 3).hyperbolic()
+        # q is bounded the same way: z0 is about 1/q and certified only to an
+        # absolute cell, so a huge q would report a wrong rate
+        for q in (2049, 99999999999999999999):
+            with pytest.raises(BadDegree, match=f"^vertex degree q must be at most 2048, got {q}$"):
+                Schlafli(4, q)
+            with pytest.raises(BadDegree, match=f"^vertex degree q must be at most 2048, got {q}$"):
+                Schlafli(INFINITY, q)
+        assert Schlafli(4, 2048).hyperbolic()
 
     def test_admissibility_boundary(self):
         assert Schlafli(4, 4).euclidean()
@@ -149,6 +157,11 @@ class TestDerive:
         assert derive(Schlafli(3, 6)).case_tag == CASE_TRIANGLE
         assert derive(Schlafli(INFINITY, 3)).case_tag == CASE_TREE
         assert derive(Schlafli(5, 4)).case_tag == CASE_ODD
+        # derive builds the case that Schlafli.case names, on the whole grid
+        for s in GRID:
+            assert derive(s).case_tag == s.case, s
+        # the case is defined for spherical symbols too
+        assert [s.case for s in SPHERICAL] == [CASE_TRIANGLE] * 3 + [CASE_EVEN, CASE_ODD]
 
     def test_spherical_carries_symbol(self):
         with pytest.raises(SphericalOutOfScope) as exc:
