@@ -16,11 +16,12 @@ are serialized as decimal strings in JSON so nothing is rounded.
 
 Exit codes: 0 success, 1 usage, 2 symbol out of scope (spherical, p or q
 below 3, or p or q above 2048), 3 verification mismatch, 4 structure violation.
-A usage error ends in a one-line message on stderr; when argparse finds it
-(unknown subcommand, non-integer p or q, unrecognized arguments) the usage
-text comes first; a p or q past the interpreter's int digit limit is given
-by its length, on one line.  Errors with codes 2 and 4 are emitted as records
-in the chosen format.
+A usage error ends in a one-line message on stderr, after the usage text
+when argparse finds it (unknown subcommand, unrecognized arguments, an
+integer argument that is not one: ``n must be an integer, got 'x'``).  n or
+``--depth`` below 0, ``--budget`` below 1 and integers past the interpreter's
+int digit limit (given by length, not digits) need no usage text.  Errors
+with codes 2 and 4 are emitted as records in the chosen format.
 """
 
 from __future__ import annotations
@@ -65,23 +66,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_degree(name: str, text: str):
-    """p or q from argv: an integer, for p also 'inf'; Schlafli checks the
-    bounds.  An integer past the interpreter's str-to-int digit limit is a
-    one-line usage error that gives its length, not its digits."""
+def _parse_int(name: str, lo: int | None, text: str):
+    """One integer argument from argv (p may also be 'inf').  A value below
+    lo, or one past the interpreter's str-to-int digit limit, is a one-line
+    usage error (the latter gives its length, not its digits); p and q
+    (lo None) are bounded by Schlafli instead, in an error record."""
     if name == "p" and text.lower() == "inf":
         return INFINITY
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         digits = text.strip().lstrip("+-")
         if digits.isdecimal():  # int() refuses a decimal string only past the limit
-            _usage_error(
-                f"{name} has {len(digits)} digits, past the interpreter's {sys.get_int_max_str_digits()}-digit "
-                f"limit; {name} must be at most {MAX_DEGREE}"
-            )
+            bound = f"; {name} must be at most {MAX_DEGREE}" if lo is None else ""
+            limit = sys.get_int_max_str_digits()
+            _usage_error(f"{name} has {len(digits)} digits, past the interpreter's {limit}-digit limit{bound}")
         inf = " or 'inf'" if name == "p" else ""
         raise argparse.ArgumentTypeError(f"{name} must be an integer{inf}, got {text!r}")
+    if lo is not None and value < lo:
+        _usage_error(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
+_parse_n = partial(_parse_int, "n", 0)
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -94,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("p", type=partial(_parse_degree, "p"), help="face degree (integer 3..2048 or 'inf')")
-        sp.add_argument("q", type=partial(_parse_degree, "q"), help="vertex degree (integer 3..2048)")
+        degree = f"integer 3..{MAX_DEGREE}"
+        sp.add_argument("p", type=partial(_parse_int, "p", None), help=f"face degree ({degree} or 'inf')")
+        sp.add_argument("q", type=partial(_parse_int, "q", None), help=f"vertex degree ({degree})")
         sp.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
     sp = sub.add_parser("genfunc", help="derive the census generating function")
@@ -103,14 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="evaluate generation counts")
     common(sp)
-    sp.add_argument("n", type=int, nargs="?", help=f"largest generation (default {DEFAULT_CENSUS_N})")
+    sp.add_argument("n", type=_parse_n, nargs="?", help=f"largest generation (default {DEFAULT_CENSUS_N})")
     sp.add_argument("--types", action="store_true", help="also emit per-class counts")
 
     sp = sub.add_parser("verify", help="cross-check the series against an explicit map")
     common(sp)
-    sp.add_argument("--depth", type=int, default=6, help="saturated depth to certify (default 6)")
+    depth, budget = partial(_parse_int, "--depth", 0), partial(_parse_int, "--budget", 1)
+    sp.add_argument("--depth", type=depth, default=6, help="saturated depth to certify (default 6)")
     sp.add_argument(
-        "--budget", type=int, default=oracle.DEFAULT_VERTEX_BUDGET, help="vertex budget (default %(default)s)"
+        "--budget", type=budget, default=oracle.DEFAULT_VERTEX_BUDGET, help="vertex budget (default %(default)s)"
     )
     sp.add_argument("--dump-map", metavar="FILE", help="write the adjacency dump to FILE")
 
@@ -136,7 +145,7 @@ def _ints(xs) -> list[str]:
 def record_genfunc(cgf: CensusGF) -> dict:
     return {
         "symbol": _symbol_json(cgf.symbol.p, cgf.symbol.q),
-        "case_tag": cgf.case_tag,
+        "case_tag": cgf.symbol.case,
         "gf": {"num": _ints(cgf.v.num.coeffs), "den": _ints(cgf.v.den.coeffs)},
     }
 
@@ -264,8 +273,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         # option; a lone integer left over is an n given after the options
         args.n = DEFAULT_CENSUS_N
         if len(extra) == 1:
-            with contextlib.suppress(ValueError):
-                args.n, extra = int(extra[0]), []
+            with contextlib.suppress(argparse.ArgumentTypeError):
+                args.n, extra = _parse_n(extra[0]), []
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
@@ -274,13 +283,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     emit = _EMITTERS[args.format]
-    if args.command == "census" and args.n < 0:
-        _usage_error(f"n must be >= 0, got {args.n}")
-    if args.command == "verify":
-        if args.depth < 0:
-            _usage_error(f"--depth must be >= 0, got {args.depth}")
-        if args.budget < 1:
-            _usage_error(f"--budget must be a positive integer, got {args.budget}")
     try:
         cgf = derive(Schlafli(args.p, args.q))
         if args.command == "genfunc":

@@ -133,7 +133,6 @@ class CensusGF:
     """
 
     symbol: Schlafli
-    case_tag: str
     v: RationalGF
     a: RationalGF
     b: RationalGF
@@ -145,7 +144,7 @@ def _census(s: Schlafli, common: IntPoly, a_num: IntPoly, b_num: IntPoly = ZERO,
     the one numerator common + a + b + c over it."""
     a, b, c = (gf_normalize(num, common) for num in (a_num, b_num, c_num))
     v = gf_normalize(common + a_num + b_num + c_num, common)
-    return CensusGF(s, s.case, v, a, b, c)
+    return CensusGF(s, v, a, b, c)
 
 
 def _tree(s: Schlafli) -> CensusGF:

@@ -52,6 +52,7 @@ vertex falls out as twin(prev(h)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TREE, CASE_TRIANGLE, INFINITY, Schlafli, SphericalOutOfScope
 
@@ -66,7 +67,7 @@ class BudgetExceeded(RuntimeError):
     """
 
     def __init__(self, partial_map: "PlanarMap"):
-        self.achieved_depth = partial_map._horizon()[0]
+        self.achieved_depth = partial_map._horizon[0]
         self.partial_map = partial_map
         super().__init__(
             f"vertex budget reached at {partial_map.vertex_count} vertices; "
@@ -133,9 +134,6 @@ class PlanarMap:
         # when its degree is q and this is -1 (trees never set it)
         self._v_bhe: list[int] = [-1]
         self._v_half: list[int] = [-1]  # any outgoing half-edge
-        # horizon BFS, tagged with the half-edge count it was taken at (every
-        # mutation adds half-edges, so a stale entry is recognized)
-        self._horizon_cache: tuple[int, int, list[int], list[list[int]]] | None = None
 
     # -- read-only surface ------------------------------------------------
 
@@ -243,21 +241,20 @@ class PlanarMap:
             level = grown
         return dist, levels
 
+    @cached_property
     def _horizon(self) -> tuple[int, list[int], list[list[int]]]:
         """Trusted depth t with the BFS that found it: (t, dist, levels).
 
         The BFS stops at the first generation holding an unsaturated vertex,
         so it labels exactly ball(t + 1) (ball(0) for an unsaturated origin).
-        Cached until the map grows again.
+        Computed once: no code reads it while the map grows (BudgetExceeded
+        is raised before a step changes the map).
         """
-        key = self.half_edge_count
-        if self._horizon_cache is None or self._horizon_cache[0] != key:
-            dist, levels = self._bfs(horizon=True)
-            t = len(levels) - 1
-            if self._unsaturated_in(levels[-1]):
-                t = max(0, t - 1)
-            self._horizon_cache = (key, t, dist, levels)
-        return self._horizon_cache[1:]
+        dist, levels = self._bfs(horizon=True)
+        t = len(levels) - 1
+        if self._unsaturated_in(levels[-1]):
+            t = max(0, t - 1)
+        return t, dist, levels
 
     # -- construction internals -------------------------------------------
 
@@ -415,7 +412,7 @@ def bfs_census(m: PlanarMap) -> CensusReport:
     it visits only the ball one generation past the trusted depth, not the
     whole face closure the builder created around it.
     """
-    trusted, _, levels = m._horizon()
+    trusted, _, levels = m._horizon
     return CensusReport(m.symbol, trusted, tuple(len(level) for level in levels[: trusted + 1]))
 
 
@@ -478,7 +475,7 @@ def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
     the census BFS of ``bfs_census``, which labels every neighbor of the
     trusted region.
     """
-    trusted, dist, levels = m._horizon()
+    trusted, dist, levels = m._horizon
     t = report.trusted_depth
     if t > trusted:
         raise ValueError(f"report trusts depth {t}, but the map is saturated only to depth {trusted}")
@@ -496,7 +493,7 @@ def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:
     """Line-oriented adjacency dump: one vertex per line with generation,
     class tag, degree and neighbors in rotation order."""
     dist = m.distances()
-    trusted = report.trusted_depth if report is not None else m._horizon()[0]
+    trusted = report.trusted_depth if report is not None else m._horizon[0]
     p = "inf" if m.symbol.is_tree else str(m.symbol.p)
     lines = [
         f"# map p={p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={trusted}",

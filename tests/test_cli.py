@@ -20,6 +20,7 @@ from pqcensus.recurrence import rec_eval, rec_from_gf
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 CLI_REFS = json.loads(REFS.read_text())["cli"]
 DUMP = "{dump}"  # stands for the dump file in a reference key
+HUGE = "1" * 4400  # past the interpreter's default 4300-digit int limit
 
 
 def run(capsys, *argv):
@@ -367,25 +368,48 @@ class TestUsageErrors:
         assert f"error: unrecognized arguments: {extra}" in captured.err
 
     def test_negative_depth(self, capsys):
-        assert "--depth" in self.exit_one(capsys, ["verify", "4", "5", "--depth", "-1"])
+        assert "--depth must be >= 0, got -1" in self.exit_one(capsys, ["verify", "4", "5", "--depth", "-1"])
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_nonpositive_budget(self, capsys, budget):
-        assert "--budget" in self.exit_one(capsys, ["verify", "4", "5", "--budget", budget])
+        assert f"--budget must be >= 1, got {budget}" in self.exit_one(capsys, ["verify", "4", "5", "--budget", budget])
 
     @pytest.mark.parametrize(
-        "name, argv", [("p", ["genfunc", "1" * 4400, "5"]), ("q", ["asym", "4", "9" * 4400, "--format", "csv"])]
+        "name, argv",
+        [
+            ("n", ["census", "4", "5", "x"]),
+            ("--depth", ["verify", "4", "5", "--depth", "x"]),
+            ("--budget", ["verify", "4", "5", "--budget", "x"]),
+        ],
+    )
+    def test_non_integer(self, capsys, name, argv):
+        # worded like p and q, after the usage text
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: argument {name}: {name} must be an integer, got 'x'\n")
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("p", ["genfunc", HUGE, "5"]),
+            ("q", ["asym", "4", "9" * 4400, "--format", "csv"]),
+            ("n", ["census", "4", "5", HUGE]),
+            ("n", ["census", "4", "5", "--types", HUGE]),
+            ("--depth", ["verify", "4", "5", "--depth", HUGE]),
+            ("--budget", ["verify", "4", "5", "--budget", HUGE]),
+        ],
     )
     def test_degree_past_digit_limit(self, capsys, digit_limit, name, argv):
         # an integer too long for int() is a one-line usage error that gives
-        # its length and the bound, without echoing its digits
+        # its length (and for p and q the bound), without echoing its digits
         digit_limit(4300)
         err = self.exit_one(capsys, argv)
-        assert err == (
-            f"pqcensus: error: {name} has 4400 digits, past the interpreter's 4300-digit limit; "
-            f"{name} must be at most 2048\n"
-        )
-        assert len(err) < 200
+        bound = f"; {name} must be at most 2048" if name in ("p", "q") else ""
+        assert err == f"pqcensus: error: {name} has 4400 digits, past the interpreter's 4300-digit limit{bound}\n"
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("target", ["missing-dir/x", "."])
     def test_unwritable_dump_path(self, capsys, monkeypatch, tmp_path, target):
@@ -406,8 +430,14 @@ class TestUsageErrors:
 def cli_argv(draw):
     """Any subcommand and format over small symbols, with sizes capped so
     that no run builds more than 5000 vertices or sums more than 200 terms;
-    negative n and depth are included as usage errors, and p or q past the
-    supported range as out of scope."""
+    negative n and depth, budgets below 1 and 4400-digit n, depth or budget
+    are included as usage errors, and p or q past the supported range as out
+    of scope."""
+
+    def now_and_then(usual, odd):
+        # a usual value, or one time in four one of the odd ones
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 3)) == 0 else str(draw(usual))
+
     cmd = draw(st.sampled_from(["genfunc", "census", "verify", "asym"]))
     p = draw(st.sampled_from(["inf", *map(str, range(3, 9)), "2049", "100000001", "99999999999999999999"]))
     q = draw(st.sampled_from([*map(str, range(3, 9)), "2049", "99999999999999999999"]))
@@ -417,10 +447,11 @@ def cli_argv(draw):
         if draw(st.booleans()):
             options.append("--types")
         # n goes anywhere after q: before, between or after the options
-        n = str(draw(st.integers(-1, 200)))
+        n = now_and_then(st.integers(-1, 200), [HUGE])
         options.insert(draw(st.sampled_from([0, 2, len(options)])), n)
     elif cmd == "verify":
-        options += ["--depth", str(draw(st.integers(-1, 12))), "--budget", str(draw(st.integers(1, 5000)))]
+        depth = now_and_then(st.integers(-1, 12), [HUGE])
+        options += ["--depth", depth, "--budget", now_and_then(st.integers(1, 5000), ["0", "-3", HUGE])]
     return argv + options
 
 
@@ -439,14 +470,20 @@ def _parses(fmt: str, out: str) -> bool:
 @given(argv=cli_argv())
 def test_any_argv_ends_in_a_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # so that HUGE is a usage error, not a long run
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.set_int_max_str_digits(saved)
     assert code in range(5), argv
     if code == 1:
+        # a message, and never an echo of HUGE's digits
         assert err.getvalue().strip() and not out.getvalue(), argv
+        assert len(err.getvalue()) < 1000, argv
     else:
         assert _parses(argv[argv.index("--format") + 1], out.getvalue()), argv
 

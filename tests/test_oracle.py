@@ -357,7 +357,7 @@ def test_filial_double_count(pq, sample_maps):
         if 1 <= d <= t:
             filial[d] += sum(1 for w in m.rotation(v) if dist[w] == d - 1)
     a, b, c = rep.a, rep.b, rep.c
-    if cgf.case_tag == CASE_TRIANGLE:
+    if cgf.symbol.case == CASE_TRIANGLE:
         child_a, child_bc = q - 3, q - 4
     else:
         child_a, child_bc = q - 1, q - 2
@@ -462,7 +462,7 @@ class TestBoundedCensus:
         # the census BFS stops one generation past the trusted depth
         m, rep = sample_maps[(5, 4)]
         full = m.distances()
-        trusted, cut, _ = m._horizon()
+        trusted, cut, _ = m._horizon
         edge = trusted + 1
         assert cut == [d if d <= edge else -1 for d in full]
         # neighbors the truncated BFS never reached are children, not parents
