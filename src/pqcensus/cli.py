@@ -20,7 +20,9 @@ A usage error ends in a one-line message on stderr, after the usage text
 when argparse finds it (unknown subcommand, unrecognized arguments, an
 integer argument that is not one: ``n must be an integer, got 'x'``).  n or
 ``--depth`` below 0, ``--budget`` below 1 and integers past the interpreter's
-int digit limit (given by length, not digits) need no usage text.  Errors
+int digit limit (given by length, not digits) need no usage text.  An
+argument longer than 40 characters is echoed as its first 20 and its length,
+and an argparse message longer than 200 as its first 100.  Errors
 with codes 2 and 4 are emitted as records in the chosen format.
 """
 
@@ -59,10 +61,17 @@ EXIT_VIOLATION = 4
 DEFAULT_CENSUS_N = 20
 
 
+def _clip(text: str, keep: int = 20) -> str:
+    """text, or if it is longer than 2 * keep its first keep characters and
+    its length: an argument of any length is echoed in a short line."""
+    return text if len(text) <= 2 * keep else f"{text[:keep]}... ({len(text)} characters)"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse quotes a bad choice or subcommand in full
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {_clip(message, 100)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -82,9 +91,9 @@ def _parse_int(name: str, lo: int | None, text: str):
             limit = sys.get_int_max_str_digits()
             _usage_error(f"{name} has {len(digits)} digits, past the interpreter's {limit}-digit limit{bound}")
         inf = " or 'inf'" if name == "p" else ""
-        raise argparse.ArgumentTypeError(f"{name} must be an integer{inf}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{name} must be an integer{inf}, got {_clip(text)!r}")
     if lo is not None and value < lo:
-        _usage_error(f"{name} must be >= {lo}, got {value}")
+        _usage_error(f"{name} must be >= {lo}, got {_clip(str(value))}")
     return value
 
 
@@ -276,7 +285,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
             with contextlib.suppress(argparse.ArgumentTypeError):
                 args.n, extra = _parse_n(extra[0]), []
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        parser.error(f"unrecognized arguments: {_clip(' '.join(extra))}")
     return args
 
 

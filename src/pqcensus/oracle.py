@@ -20,6 +20,18 @@ have had at most q - 2 faces.  Both conditions are forced by the target
 degree q, so the glue run is determined by the local face counts and the
 resulting disk is the unique {p,q} patch; no global knowledge is used.
 
+Most faces are glued along one edge.  Take a boundary vertex v with d < q
+edges whose boundary edge e comes from a vertex u0 that also has fewer
+than q.  Neither end of e is swallowed, so v's next face is glued along e
+alone and adds p - 2 new vertices and an edge at v.  The first new vertex,
+of degree 2, is the tail of v's new boundary edge, so the same holds for
+the next face, until v has q edges and takes its closing face.  v is
+therefore forced to take a row of q - d single-edge faces, and since each
+face numbers its new vertices and half-edges in one fixed order from the
+next free ids, the whole row is one arithmetic pattern.  ``_attach_fan``
+writes it as one block: the same ids in the same order as face by face,
+with the budget checked before each face as the face step does.
+
 The q-regular tree {inf,q} grows by the same rounds with a simpler step:
 a vertex missing edges gets one pendant edge to a new leaf at a time, until
 it has q.
@@ -53,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, repeat
 
 from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TREE, CASE_TRIANGLE, INFINITY, Schlafli, SphericalOutOfScope
 
@@ -325,6 +338,77 @@ class PlanarMap:
         bhe += ts[:m]
         self._v_half += ts[:m]
 
+    def _attach_fan(self, v: int, budget: int | None):
+        """Glue the row of single-edge faces that boundary vertex v is forced
+        to take, as one block: the same ids in the same slots as q - deg(v)
+        calls of ``_attach_face``, and a budget cut keeps the same faces.
+
+        The caller has checked that v and the tail u0 of the boundary edge
+        e into v both have fewer than q edges.  Face j is glued along e_j
+        alone (e_0 = e, then the new edge ts_{j-1}[0] into v) and adds the
+        path chain_j = v, w_j[0 .. m - 1], u0_j of m = p - 2 new vertices,
+        with u0_0 = u0 and u0_j = w_{j-1}[0].  Its new half-edges are
+        cs_j[i] = cs[j(m+1) + i] from chain_j[i] and their twins ts_j[i].
+        """
+        q, m = self.symbol.q, self.symbol.p - 2
+        M = m + 1  # new edges per face
+        deg, bhe = self._v_deg, self._v_bhe
+        origin, nxt, prv = self._he_origin, self._he_next, self._he_prev
+        h_out = bhe[v]
+        e = prv[h_out]
+        before, u0 = prv[e], origin[e]
+        if u0 == v:
+            raise RuntimeError("glue run self-intersects; disk invariant broken")
+        nv0 = len(deg)
+        r = q - deg[v]
+        if budget is not None:
+            r = min(r, (budget - nv0) // m)
+        if r > 0:
+            # As in _attach_face, every new id is created once and shared.
+            # Each list starts from the one-face pattern shifted by one slot
+            # (the slot shifted in is overwritten), then one strided slice
+            # per exception sets what differs from it.
+            h0 = len(origin)
+            he = list(range(h0, h0 + 2 * r * M))
+            cs, ts = he[0::2], he[1::2]
+            es = [e, *ts[0 : (r - 1) * M : M]]  # e_j
+            ends = ts[2 * M - 1 :: M]  # ts_j[m] for j > 0, out of u0_j
+            # origin: chain_j[i] along cs, chain_j[i + 1] along ts
+            ocs = list(chain.from_iterable(zip(repeat(v, r), *[iter(range(nv0, nv0 + r * m))] * m)))
+            ots = ocs[1:] + [u0]
+            ots[m::M] = [u0, *ocs[1 : (r - 1) * M : M]]
+            # next: the face cycle closes through e_j; the boundary runs
+            # ts_j[m] .. ts_j[0], except that face j + 1 is glued along
+            # ts_j[0] and continues the boundary at ts_j[1]
+            ncs = cs[1:] + [e]
+            ncs[m::M] = es
+            nts = [h_out] + ts[:-1]
+            nts[0::M] = [*cs[M::M], h_out]
+            nts[1 : (r - 1) * M : M] = ends
+            # prev: the mirror image
+            pcs = [e] + cs[:-1]
+            pcs[0::M] = es
+            pts = ts[1:] + [before]
+            pts[m::M] = [before, *ts[1 : (r - 1) * M : M]]
+            pts[0 : (r - 1) * M : M] = cs[2 * M - 1 :: M]
+            for lst, even, odd in ((origin, ocs, ots), (nxt, ncs, nts), (prv, pcs, pts)):
+                lst += he
+                lst[h0::2] = even
+                lst[h0 + 1 :: 2] = odd
+            nxt[e], prv[e], nxt[before], prv[h_out] = cs[0], cs[m], ts[m], ts[-M]
+            self._faces += es
+            deg += [2] * (r * m)
+            deg[nv0 : nv0 + (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
+            deg[v] += r
+            deg[u0] += 1
+            bhe[u0] = ts[m]
+            del ts[m::M]  # leaves ts_j[i] for i < m, the half-edge out of w_j[i]
+            self._v_half += ts
+            bhe += ts
+            bhe[nv0 : nv0 + (r - 1) * m : m] = ends
+        if deg[v] < q:
+            raise BudgetExceeded(self)
+
     def _attach_leaf(self, v: int, budget: int | None):
         """Hang one new leaf off vertex v (a tree step, and a disk's seed edge).
 
@@ -354,6 +438,7 @@ class PlanarMap:
 
     def _grow(self, depth: int, budget: int | None):
         q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
+        origin, prv = self._he_origin, self._he_prev
         if self.symbol.is_tree:
             attach = self._attach_leaf
         else:
@@ -378,7 +463,13 @@ class PlanarMap:
                 return
             for v in targets:
                 while deg[v] < q or bhe[v] >= 0:
-                    attach(v, budget)
+                    h = bhe[v]
+                    # a disk vertex short of edges, behind which the boundary
+                    # comes from a vertex short of edges too, takes a row
+                    if h >= 0 and deg[v] < q and deg[origin[prv[h]]] < q:
+                        self._attach_fan(v, budget)
+                    else:
+                        attach(v, budget)
         raise RuntimeError("growth failed to reach the requested depth")
 
 

@@ -21,6 +21,7 @@ REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 CLI_REFS = json.loads(REFS.read_text())["cli"]
 DUMP = "{dump}"  # stands for the dump file in a reference key
 HUGE = "1" * 4400  # past the interpreter's default 4300-digit int limit
+LONG = "x" * 5000
 
 
 def run(capsys, *argv):
@@ -410,6 +411,26 @@ class TestUsageErrors:
         bound = f"; {name} must be at most 2048" if name in ("p", "q") else ""
         assert err == f"pqcensus: error: {name} has 4400 digits, past the interpreter's 4300-digit limit{bound}\n"
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (["verify", "4", "5", "--depth", LONG], "got 'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'"),
+            (["census", "4", "5", "--types", LONG], "arguments: xxxxxxxxxxxxxxxxxxxx... (5000 characters)"),
+            (["verify", "4", "5", "--depth", "-" + "1" * 4000], "got -1111111111111111111... (4001 characters)"),
+            (["genfunc", "4", "5", "--format", LONG], "invalid choice: 'xxxxxxxxxxxx"),
+            ([LONG], "invalid choice: 'xxxxxxxxxxxx"),
+        ],
+    )
+    def test_long_argument_is_clipped(self, capsys, digit_limit, argv, echo):
+        # an argument is echoed by its head and length, however long it is
+        digit_limit(4300)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert echo in last and "characters)" in last
+        assert len(last.encode()) < 200
 
     @pytest.mark.parametrize("target", ["missing-dir/x", "."])
     def test_unwritable_dump_path(self, capsys, monkeypatch, tmp_path, target):

@@ -43,6 +43,15 @@ SAMPLE = [
 ]
 
 
+def build_or_partial(pq, depth):
+    """The map build_map makes at the default budget, or the partial map
+    it gives up with."""
+    try:
+        return build_map(Schlafli(*pq), depth)
+    except BudgetExceeded as exc:
+        return exc.partial_map
+
+
 @pytest.fixture(scope="module")
 def sample_maps():
     built = {}
@@ -134,6 +143,41 @@ class TestBuildMap:
         # recorded in the ROADMAP baseline
         m = build_map(Schlafli(8, 8), 5, vertex_budget=None)
         assert (m.vertex_count, m.face_count) == (779_793, 133_680)
+
+    # Vertex ids, rotation order and face order are part of the output
+    # (dumps, perfbench references), so however the builder glues faces it
+    # must make exactly these maps.
+    @pytest.mark.parametrize(
+        "pq,depth,digest",
+        [
+            ((3, 7), 6, "a23bf44de369ddba5b065f72485b2c22e37c987e218d007882e0ee90a98acc4f"),
+            ((7, 3), 7, "bc61ceca05e152392d2a84c37c9a0c37d4d7fcef6d4831fff36fabbddb542511"),
+            ((20, 3), 4, "d09b5a009494216a1a34d533d62df0b6b94acce9558868273e83b821f44f5b2f"),
+            ((3, 20), 2, "81dc5267b66bdbe78c317bd0b969675ed7cec5fb150c7b717beb67d88cd0ef92"),
+        ],
+        ids=str,
+    )
+    def test_dump_digest(self, pq, depth, digest):
+        assert hashlib.sha256(dump_map(build_or_partial(pq, depth)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "pq,depth,size,digest",
+        [
+            ((8, 8), 5, (199_995, 34_286), "2db5c46ca1b38a0787f33801263fb5f741e9da1084f4bfd8648aa5d28559184d"),
+            ((5, 8), 5, (199_998, 70_739), "3afbb95e8cff0b88d235a3b1c9d69b30f00a2f4ef442cf04985a437ba8986484"),
+            ((7, 7), 5, (199_997, 41_676), "63ad383db8a0c0051e93379082433b6ccb8b3cf9cafa41e7de4f61fdceaae8db"),
+            ((12, 12), 3, (158_125, 15_972), "202a7f88fa750a2178f60c955329106a847cae651d829a2fdac1dce5e0f54793"),
+        ],
+        ids=str,
+    )
+    def test_face_digest(self, pq, depth, size, digest):
+        # {8,8}, {5,8} and {7,7} stop at the default budget, as `verify`
+        # reports them.  Too large to dump quickly: the face cycles fix the
+        # map but for where each rotation starts, which the dumps pin.
+        m = build_or_partial(pq, depth)
+        assert (m.vertex_count, m.face_count) == size
+        faces = repr(list(map(m.face_vertices, range(m.face_count))))
+        assert hashlib.sha256(faces.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("pq", [(3, 7), (4, 5), (7, 3), (8, 8)], ids=str)
     def test_first_face(self, pq):
@@ -432,6 +476,24 @@ class TestBoundedCensus:
         ref = reference_census(m)
         assert exc.value.achieved_depth == ref.trusted_depth
         assert classify(m, bfs_census(m)) == ref
+
+    @pytest.mark.parametrize(
+        "pq,depth,step", [((8, 8), 2, 17), ((4, 5), 4, 5), ((3, 7), 4, 3), ((7, 3), 7, 3), ((12, 12), 1, 11)], ids=str
+    )
+    def test_budget_cut_is_a_prefix(self, pq, depth, step):
+        # a budget stops the build at the first face that would overrun it,
+        # which needs at most p - 2 new vertices: the partial map is the
+        # unbudgeted map's first half-edges and faces.  Both lists are
+        # append-only, and a closed face's cycle never changes.
+        s = Schlafli(*pq)
+        full = build_map(s, depth, vertex_budget=None)
+        for budget in range(s.p, full.vertex_count, step):
+            with pytest.raises(BudgetExceeded) as exc:
+                build_map(s, depth, vertex_budget=budget)
+            m = exc.value.partial_map
+            assert budget - (s.p - 2) < m.vertex_count <= budget
+            assert m._he_origin == full._he_origin[: m.half_edge_count]
+            assert m._faces == full._faces[: m.face_count]
 
     @pytest.mark.parametrize("q,depth", [(3, 0), (3, 4), (4, 2), (5, 3)], ids=str)
     def test_trees(self, q, depth):
