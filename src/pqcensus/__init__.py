@@ -6,72 +6,42 @@ function counting vertices by graph distance from an origin vertex,
 evaluates it through exact linear recurrences, computes the exponential
 growth constants, and verifies everything against an explicit planar-map
 construction explored by breadth-first search.
+
+The public names below are imported from their submodules on first use
+(PEP 562), so ``import pqcensus`` or a CLI run that never touches the
+oracle or the growth analysis does not load them.
 """
 
-from pqcensus.polyarith import (
-    IntPoly,
-    NotDivisible,
-    RationalGF,
-    ZeroDenominatorConstant,
-    gf_normalize,
-    poly_div_exact,
-    series_coeffs,
-)
-from pqcensus.genfunc import (
-    INFINITY,
-    BadDegree,
-    CensusGF,
-    Schlafli,
-    SphericalOutOfScope,
-    derive,
-)
-from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
-from pqcensus.oracle import (
-    BudgetExceeded,
-    CensusReport,
-    PlanarMap,
-    StructureViolation,
-    VertexProfile,
-    bfs_census,
-    build_map,
-    build_tree,
-    classify,
-    dump_map,
-)
-from pqcensus.asymptotics import GrowthInfo, NoRootFound, growth, palindrome_check
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IntPoly",
-    "RationalGF",
-    "NotDivisible",
-    "ZeroDenominatorConstant",
-    "poly_div_exact",
-    "gf_normalize",
-    "series_coeffs",
-    "INFINITY",
-    "Schlafli",
-    "CensusGF",
-    "BadDegree",
-    "SphericalOutOfScope",
-    "derive",
-    "LinRec",
-    "rec_from_gf",
-    "rec_eval",
-    "PlanarMap",
-    "CensusReport",
-    "VertexProfile",
-    "BudgetExceeded",
-    "StructureViolation",
-    "build_map",
-    "build_tree",
-    "bfs_census",
-    "classify",
-    "dump_map",
-    "GrowthInfo",
-    "NoRootFound",
-    "growth",
-    "palindrome_check",
-    "__version__",
-]
+# submodule -> the public names it defines, in the order of __all__
+_EXPORTS = {
+    "polyarith": (
+        "IntPoly", "RationalGF", "NotDivisible", "ZeroDenominatorConstant", "poly_div_exact", "gf_normalize",
+        "series_coeffs",
+    ),
+    "genfunc": ("INFINITY", "Schlafli", "CensusGF", "BadDegree", "SphericalOutOfScope", "derive"),
+    "recurrence": ("LinRec", "rec_from_gf", "rec_eval"),
+    "oracle": (
+        "PlanarMap", "CensusReport", "VertexProfile", "BudgetExceeded", "StructureViolation", "build_map",
+        "build_tree", "bfs_census", "classify", "dump_map",
+    ),
+    "asymptotics": ("GrowthInfo", "NoRootFound", "growth", "palindrome_check"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

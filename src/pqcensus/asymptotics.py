@@ -16,9 +16,9 @@ with their exact rate q - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from pqcensus.genfunc import Schlafli, SphericalOutOfScope
 from pqcensus.polyarith import IntPoly, RationalGF, primitive, pseudo_rem
@@ -34,8 +34,7 @@ class NoRootFound(ArithmeticError):
     """Q has no root in (0,1], or is not squarefree, although the symbol is hyperbolic."""
 
 
-@dataclass(frozen=True)
-class GrowthInfo:
+class GrowthInfo(NamedTuple):
     """Exponential growth data of one census.
 
     ``z0`` is the smallest positive denominator root (None for Euclidean),

@@ -38,8 +38,8 @@ from functools import partial
 from itertools import zip_longest
 from typing import NoReturn, TextIO
 
-from pqcensus import asymptotics, oracle
 from pqcensus.genfunc import (
+    DEFAULT_VERTEX_BUDGET,
     INFINITY,
     MAX_DEGREE,
     BadDegree,
@@ -48,7 +48,6 @@ from pqcensus.genfunc import (
     SphericalOutOfScope,
     derive,
 )
-from pqcensus.oracle import BudgetExceeded, StructureViolation
 from pqcensus.polyarith import series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     depth, budget = partial(_parse_int, "--depth", 0), partial(_parse_int, "--budget", 1)
     sp.add_argument("--depth", type=depth, default=6, help="saturated depth to certify (default 6)")
     sp.add_argument(
-        "--budget", type=budget, default=oracle.DEFAULT_VERTEX_BUDGET, help="vertex budget (default %(default)s)"
+        "--budget", type=budget, default=DEFAULT_VERTEX_BUDGET, help="vertex budget (default %(default)s)"
     )
     sp.add_argument("--dump-map", metavar="FILE", help="write the adjacency dump to FILE")
 
@@ -142,13 +141,17 @@ def _symbol_json(p, q) -> dict:
 
 
 def _ints(xs) -> list[str]:
+    """xs as decimal strings.  The term of largest absolute value has the
+    most digits, so converting it alone decides whether every term fits the
+    interpreter's int-to-str limit, before any other term is converted."""
     try:
-        return [str(x) for x in xs]
+        str(max(xs, key=abs, default=0))
     except ValueError:  # str(int) raises only past sys.get_int_max_str_digits()
         _usage_error(
             f"a term has more than {sys.get_int_max_str_digits()} digits, the interpreter's "
             "int-to-str limit; set PYTHONINTMAXSTRDIGITS=0 to print it"
         )
+    return [str(x) for x in xs]
 
 
 def record_genfunc(cgf: CensusGF) -> dict:
@@ -172,6 +175,8 @@ def record_census(cgf: CensusGF, n: int, types: bool) -> dict:
 
 
 def record_asym(cgf: CensusGF) -> dict:
+    from pqcensus import asymptotics  # only this subcommand runs the growth analysis
+
     info = asymptotics.growth(cgf.v, cgf.symbol)
     rec = record_genfunc(cgf)
     rec["growth"] = {
@@ -196,13 +201,20 @@ def _open_dump(path: str | None):
 
 
 def record_verify(cgf: CensusGF, depth: int, budget: int, dump: TextIO | None) -> tuple[dict, int]:
+    """The verify record and exit code; a StructureViolation is an error
+    record with EXIT_VIOLATION."""
+    from pqcensus import oracle  # only this subcommand builds a map
+
     budget_limited = False
     try:
         m = oracle.build_map(cgf.symbol, depth, budget)
-    except BudgetExceeded as exc:
+    except oracle.BudgetExceeded as exc:
         m = exc.partial_map
         budget_limited = True
-    report = oracle.classify(m, oracle.bfs_census(m))
+    try:
+        report = oracle.classify(m, oracle.bfs_census(m))
+    except oracle.StructureViolation as exc:
+        return {"error": "StructureViolation", "message": str(exc)}, EXIT_VIOLATION
     t = report.trusted_depth
     first_mismatch = None
     for kind in "vabc":
@@ -307,10 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": type(exc).__name__, "message": str(exc), "symbol": _symbol_json(args.p, args.q)}
         sys.stdout.write(emit(err))
         return EXIT_OUT_OF_SCOPE
-    except StructureViolation as exc:
-        err = {"error": "StructureViolation", "message": str(exc)}
-        sys.stdout.write(emit(err))
-        return EXIT_VIOLATION
     sys.stdout.write(emit(rec))
     return code
 

@@ -28,7 +28,7 @@ too); the case helpers trust it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from pqcensus.polyarith import ZERO, IntPoly, RationalGF, gf_normalize
 
@@ -41,6 +41,10 @@ CASE_ODD = "ODD"
 # analysis runs a Sturm chain on them ({2001,3}: about 11 s on 2 vCPUs); z0 is
 # about 1/q, certified to an absolute 2^-40 cell, so q is bounded as well
 MAX_DEGREE = 2048
+
+# vertices the oracle may build for one ``verify``; it lives here, beside the
+# other bound, so that the CLI's parser reads it without importing the oracle
+DEFAULT_VERTEX_BUDGET = 200_000
 
 
 class BadDegree(ValueError):
@@ -73,23 +77,46 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
 class Schlafli:
-    """Symbol {p,q}; p is an int in 3..MAX_DEGREE or INFINITY, q an int in 3..MAX_DEGREE."""
+    """Symbol {p,q}; p is an int in 3..MAX_DEGREE or INFINITY, q an int in 3..MAX_DEGREE.
 
+    Immutable: symbols compare and hash equal by (p, q).
+    """
+
+    __slots__ = ("p", "q")
     p: int | _Infinity
     q: int
 
-    def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 3:
-            raise BadDegree(f"vertex degree q must be an integer >= 3, got {self.q!r}")
-        if self.q > MAX_DEGREE:
-            raise BadDegree(f"vertex degree q must be at most {MAX_DEGREE}, got {self.q}")
-        if not isinstance(self.p, _Infinity):
-            if not isinstance(self.p, int) or self.p < 3:
-                raise BadDegree(f"face degree p must be an integer >= 3 or INFINITY, got {self.p!r}")
-            if self.p > MAX_DEGREE:
-                raise BadDegree(f"face degree p must be at most {MAX_DEGREE}, got {self.p}")
+    def __init__(self, p: int | _Infinity, q: int):
+        if not isinstance(q, int) or q < 3:
+            raise BadDegree(f"vertex degree q must be an integer >= 3, got {q!r}")
+        if q > MAX_DEGREE:
+            raise BadDegree(f"vertex degree q must be at most {MAX_DEGREE}, got {q}")
+        if not isinstance(p, _Infinity):
+            if not isinstance(p, int) or p < 3:
+                raise BadDegree(f"face degree p must be an integer >= 3 or INFINITY, got {p!r}")
+            if p > MAX_DEGREE:
+                raise BadDegree(f"face degree p must be at most {MAX_DEGREE}, got {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Schlafli is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Schlafli is immutable")
+
+    def __eq__(self, other):
+        return (self.p, self.q) == (other.p, other.q) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __reduce__(self):
+        return Schlafli, (self.p, self.q)
+
+    def __repr__(self) -> str:
+        return f"Schlafli(p={self.p!r}, q={self.q!r})"
 
     @property
     def is_tree(self) -> bool:
@@ -123,8 +150,7 @@ class Schlafli:
         return f"{{{p},{self.q}}}"
 
 
-@dataclass(frozen=True)
-class CensusGF:
+class CensusGF(NamedTuple):
     """Census generating functions of one symbol.
 
     ``v`` counts all vertices of generation n; ``a``, ``b`` and ``c`` count

@@ -63,13 +63,20 @@ vertex falls out as twin(prev(h)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
+from typing import NamedTuple
 
-from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TREE, CASE_TRIANGLE, INFINITY, Schlafli, SphericalOutOfScope
-
-DEFAULT_VERTEX_BUDGET = 200_000
+from pqcensus.genfunc import (
+    CASE_EVEN,
+    CASE_ODD,
+    CASE_TREE,
+    CASE_TRIANGLE,
+    DEFAULT_VERTEX_BUDGET,
+    INFINITY,
+    Schlafli,
+    SphericalOutOfScope,
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -102,8 +109,7 @@ class StructureViolation(RuntimeError):
         super().__init__(f"vertex {vertex} in generation {generation} has profile {profile}")
 
 
-@dataclass(frozen=True)
-class VertexProfile:
+class VertexProfile(NamedTuple):
     """Neighbor census of one vertex relative to the generation structure."""
 
     parents: int
@@ -112,8 +118,7 @@ class VertexProfile:
     consortial: int
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Per-generation counts up to the trusted horizon.
 
     ``v[n]`` counts all vertices in generation n; ``a``, ``b``, ``c`` hold
@@ -436,13 +441,31 @@ class PlanarMap:
         self._v_bhe.append(-1)
         half.append(b)
 
-    def _grow(self, depth: int, budget: int | None):
+    def _saturate(self, targets: list[int], budget: int | None):
+        """Attach steps at each target in turn until it is saturated.
+
+        A tree vertex (no boundary) takes leaves.  A disk vertex v short of
+        edges, behind which the boundary comes from a vertex u0 short of
+        edges too, takes its forced row of faces; every other step is one
+        face, glued across any neighbors that have q edges.  Growth orders
+        other than ``_grow``'s can reach v with u0 at q edges; the one face
+        then swallows u0, where a row would give it q + 1.
+        """
         q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
         origin, prv = self._he_origin, self._he_prev
-        if self.symbol.is_tree:
-            attach = self._attach_leaf
-        else:
-            attach = self._attach_face
+        for v in targets:
+            while deg[v] < q or bhe[v] >= 0:
+                h = bhe[v]
+                if h < 0:
+                    self._attach_leaf(v, budget)
+                elif deg[v] < q and deg[origin[prv[h]]] < q:
+                    self._attach_fan(v, budget)
+                else:
+                    self._attach_face(v, budget)
+
+    def _grow(self, depth: int, budget: int | None):
+        q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
+        if not self.symbol.is_tree:
             # The first face is glued along a seed edge 0 -> 1 with both
             # sides on the boundary, like every other face.  It is all or
             # nothing: a budget below p leaves the bare origin.
@@ -461,15 +484,7 @@ class PlanarMap:
             targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if deg[v] < q or bhe[v] >= 0]
             if not targets:
                 return
-            for v in targets:
-                while deg[v] < q or bhe[v] >= 0:
-                    h = bhe[v]
-                    # a disk vertex short of edges, behind which the boundary
-                    # comes from a vertex short of edges too, takes a row
-                    if h >= 0 and deg[v] < q and deg[origin[prv[h]]] < q:
-                        self._attach_fan(v, budget)
-                    else:
-                        attach(v, budget)
+            self._saturate(targets, budget)
         raise RuntimeError("growth failed to reach the requested depth")
 
 
@@ -577,7 +592,7 @@ def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
     for d in range(1, t + 1):
         for v in levels[d]:
             buckets[_type_of(m, v, dist)][d] += 1
-    return replace(report, a=tuple(a), b=tuple(b), c=tuple(c))
+    return report._replace(a=tuple(a), b=tuple(b), c=tuple(c))
 
 
 def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:

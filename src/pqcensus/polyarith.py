@@ -17,9 +17,8 @@ the list it is given and says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class NotDivisible(ArithmeticError):
@@ -38,10 +37,13 @@ class NonUnitDenominator(ArithmeticError):
     """
 
 
-@dataclass(init=False, frozen=True)
 class IntPoly:
-    """Dense integer polynomial; ``IntPoly([1, -3, 1])`` is 1 - 3z + z^2."""
+    """Dense integer polynomial; ``IntPoly([1, -3, 1])`` is 1 - 3z + z^2.
 
+    Immutable: equal polynomials compare and hash equal by ``coeffs``.
+    """
+
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -49,6 +51,21 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: IntPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: IntPoly is immutable")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -212,12 +229,11 @@ def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(NamedTuple):
     """Reduced rational function P(z)/Q(z) with Q(0) = 1.
 
     Instances come from ``gf_normalize``; the fields are the canonical
-    representative, so dataclass equality is equality of rational functions.
+    representative, so field-wise equality is equality of rational functions.
     """
 
     num: IntPoly

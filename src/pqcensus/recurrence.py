@@ -13,13 +13,12 @@ coefficient other than +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from pqcensus.polyarith import RationalGF, extend_recurrence, series_coeffs
 
 
-@dataclass(frozen=True)
-class LinRec:
+class LinRec(NamedTuple):
     """Constant-coefficient recurrence with its exact launch window.
 
     ``rec_coeffs`` holds c_1..c_d, so its length is the order d.

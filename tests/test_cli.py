@@ -5,13 +5,12 @@ import io
 import json
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqcensus import cli
+from pqcensus import cli, oracle
 from pqcensus.genfunc import Schlafli, derive
 from pqcensus.oracle import StructureViolation, VertexProfile
 from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
@@ -122,6 +121,26 @@ class TestCensus:
         assert len(captured.err.splitlines()) == 1
         assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
 
+    @pytest.mark.parametrize("types", [[], ["--types"]], ids=["series", "types"])
+    def test_census_at_smallest_digit_limit(self, capsys, digit_limit, types):
+        # 640 digits is the smallest limit the interpreter accepts; the term
+        # of largest absolute value alone decides, one term past it
+        series = rec_eval(rec_from_gf(derive(Schlafli(4, 5)).v), 2000)
+        n = max(i for i, x in enumerate(series) if len(str(x)) <= 640)
+        digit_limit(640)
+        code, out = run(capsys, "census", "4", "5", str(n), *types)
+        assert code == 0
+        assert json.loads(out)["series"][-1] == str(series[n])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "4", "5", str(n + 1), *types])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pqcensus: error: a term has more than 640 digits, the interpreter's int-to-str limit; "
+            "set PYTHONINTMAXSTRDIGITS=0 to print it\n"
+        )
+
     def test_long_census_with_limit_lifted(self, capsys, digit_limit):
         digit_limit(0)  # what PYTHONINTMAXSTRDIGITS=0 sets
         code, out = run(capsys, "census", "4", "5", "12000")
@@ -175,7 +194,7 @@ class TestVerify:
         o = json.loads(out)["oracle"]
         assert code == 0
         assert o["budget_limited"] is True
-        assert o["vertices"] <= cli.oracle.DEFAULT_VERTEX_BUDGET
+        assert o["vertices"] <= oracle.DEFAULT_VERTEX_BUDGET
         assert o["match"] is True
 
     def test_budget_limited_still_verifies(self, capsys):
@@ -196,12 +215,12 @@ class TestVerify:
 
     def test_profile_violation_record(self, capsys, monkeypatch):
         # a vertex whose neighborhood fits no class stops verify with exit 4
-        profile = cli.oracle.vertex_profile
+        profile = oracle.vertex_profile
 
         def orphan(m, v, dist):
             return VertexProfile(0, 4, 0, 0) if v == 1 else profile(m, v, dist)
 
-        monkeypatch.setattr(cli.oracle, "vertex_profile", orphan)
+        monkeypatch.setattr(oracle, "vertex_profile", orphan)
         code, out = run(capsys, "verify", "4", "5", "--depth", "1")
         assert code == cli.EXIT_VIOLATION
         assert json.loads(out) == {
@@ -213,13 +232,13 @@ class TestVerify:
     def test_mismatch_record(self, capsys, monkeypatch):
         # series are compared in the order v, a, b, c; the first differing
         # term of the first differing series is reported, in every format
-        classify = cli.oracle.classify
+        classify = oracle.classify
 
         def miscount(m, report):
             rep = classify(m, report)
-            return replace(rep, v=rep.v[:3] + (rep.v[3] + 1,) + rep.v[4:], a=(0, rep.a[1] - 1) + rep.a[2:])
+            return rep._replace(v=rep.v[:3] + (rep.v[3] + 1,) + rep.v[4:], a=(0, rep.a[1] - 1) + rep.a[2:])
 
-        monkeypatch.setattr(cli.oracle, "classify", miscount)
+        monkeypatch.setattr(oracle, "classify", miscount)
         outs = {}
         for fmt in ("json", "csv", "plain"):
             code, outs[fmt] = run(capsys, "verify", "4", "5", "--depth", "4", "--format", fmt)
@@ -329,7 +348,7 @@ class TestErrorRecordsInCsv:
         def violate(m, report):
             raise StructureViolation(1, 1, VertexProfile(0, 0, 0, 0))
 
-        monkeypatch.setattr(cli.oracle, "classify", violate)
+        monkeypatch.setattr(oracle, "classify", violate)
         code, out = run(capsys, "verify", "4", "5", "--depth", "1", "--format", "csv")
         assert code == 4
         header, row = csv.reader(out.splitlines())
@@ -438,7 +457,7 @@ class TestUsageErrors:
         def no_build(*args):
             raise AssertionError("build_map ran before the dump path was checked")
 
-        monkeypatch.setattr(cli.oracle, "build_map", no_build)
+        monkeypatch.setattr(oracle, "build_map", no_build)
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "4", "5", "--depth", "2", "--dump-map", str(tmp_path / target)])
         assert exc.value.code == 1

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from conftest import admissible_symbols
@@ -56,6 +59,19 @@ class TestSchlafli:
     def test_str(self):
         assert str(Schlafli(INFINITY, 3)) == "{inf,3}"
         assert str(Schlafli(7, 3)) == "{7,3}"
+
+    def test_value_type(self):
+        s = Schlafli(4, 5)
+        assert repr(s) == "Schlafli(p=4, q=5)"
+        assert repr(Schlafli(INFINITY, 3)) == "Schlafli(p=INFINITY, q=3)"
+        assert s == Schlafli(p=4, q=5) and s != Schlafli(5, 4) and s != (4, 5)
+        assert len({s, Schlafli(4, 5), Schlafli(INFINITY, 3), Schlafli(INFINITY, 3)}) == 2
+        with pytest.raises(AttributeError):
+            s.p = 5
+        with pytest.raises(AttributeError):
+            del s.q
+        assert pickle.loads(pickle.dumps(Schlafli(INFINITY, 3))) == Schlafli(INFINITY, 3)
+        assert copy.deepcopy(s) == s
 
 
 # the six hand-reduced closed forms, plus series openings

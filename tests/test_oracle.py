@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -191,6 +190,29 @@ class TestBuildMap:
         assert m.face_vertices(0) == tuple(range(p))
         assert m.rotation(0) == (1, p - 1)
         check_map_structure(m)
+
+    @pytest.mark.parametrize("pq", [(7, 3), (5, 4), (4, 5), (3, 7), (8, 8)], ids=str)
+    def test_face_swallows_a_full_tail(self, pq):
+        # Saturating the boundary successors of one vertex u0 of the first
+        # face, one after another, brings u0 to q edges while the boundary
+        # still leads from it into a vertex short of edges.  Saturating that
+        # vertex must glue one face across u0, not hang a row of faces off
+        # it, which would give u0 q + 1 edges.
+        s = Schlafli(*pq)
+        with pytest.raises(BudgetExceeded) as exc:
+            build_map(s, 0, vertex_budget=s.p)
+        m = exc.value.partial_map
+        u0 = 2
+        while True:
+            full = m.degree(u0) == s.q
+            w = m.head_of(m._v_bhe[u0])
+            assert m.degree(w) < s.q
+            m._saturate([w], None)
+            check_map_structure(m)
+            assert max(map(m.degree, range(m.vertex_count))) == s.q
+            if full:
+                break
+        assert m.is_saturated(u0)
 
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
@@ -518,7 +540,7 @@ class TestBoundedCensus:
     def test_report_deeper_than_map(self, sample_maps):
         m, rep = sample_maps[(4, 5)]
         with pytest.raises(ValueError):
-            classify(m, replace(rep, trusted_depth=rep.trusted_depth + 1))
+            classify(m, rep._replace(trusted_depth=rep.trusted_depth + 1))
 
     def test_truncated_distances(self, sample_maps):
         # the census BFS stops one generation past the trusted depth

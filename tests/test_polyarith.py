@@ -1,4 +1,6 @@
+import copy
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,18 @@ class TestIntPoly:
     def test_repr_round(self):
         assert str(P(1, -3, 1)) == "1 - 3z + z^2"
         assert str(P()) == "0"
+        assert repr(P(1, -3, 1)) == "IntPoly('1 - 3z + z^2')"
+
+    def test_value_type(self):
+        a = P(1, -3, 1, 0)
+        assert a == P(1, -3, 1) and a != P(1, -3) and a != (1, -3, 1)
+        assert len({a, P(1, -3, 1), P(), P(0)}) == 2
+        with pytest.raises(AttributeError):
+            a.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            del a.coeffs
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
 
 
 class TestDivExact:
