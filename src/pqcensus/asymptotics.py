@@ -7,7 +7,9 @@ isolation: the Sturm chain of Q proves that Q is squarefree, so z0 is a
 simple root, and that z0 is the smallest positive root of Q; bisection at
 dyadic points m/2^k, with Q evaluated as the integer 2^(k deg Q) Q(m/2^k),
 then encloses z0 in a dyadic cell of width 2^-40 (<= 1e-12).  We return a
-binary64 value together with that cell.
+binary64 value together with that cell.  The chain does not prove z0
+dominant, i.e. that no complex root of Q has modulus <= z0, which the
+amplitude formula assumes.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported

@@ -19,8 +19,9 @@ below 3, or p or q above 2048), 3 verification mismatch, 4 structure violation.
 A usage error ends in a one-line message on stderr, after the usage text
 when argparse finds it (unknown subcommand, unrecognized arguments, an
 integer argument that is not one: ``n must be an integer, got 'x'``).  n or
-``--depth`` below 0, ``--budget`` below 1 and integers past the interpreter's
-int digit limit (given by length, not digits) need no usage text.  An
+``--depth`` below 0, ``--budget`` below 1 or above 10^7, an empty or
+unwritable ``--dump-map`` path and integers past the interpreter's int digit
+limit (given by length, not digits) need no usage text.  An
 argument longer than 40 characters is echoed as its first 20 and its length,
 and an argparse message longer than 200 as its first 100.  Errors
 with codes 2 and 4 are emitted as records in the chosen format.
@@ -42,6 +43,7 @@ from pqcensus.genfunc import (
     DEFAULT_VERTEX_BUDGET,
     INFINITY,
     MAX_DEGREE,
+    MAX_VERTEX_BUDGET,
     BadDegree,
     CensusGF,
     Schlafli,
@@ -74,11 +76,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_int(name: str, lo: int | None, text: str):
+def _parse_int(name: str, lo: int | None, text: str, hi: int | None = None):
     """One integer argument from argv (p may also be 'inf').  A value below
-    lo, or one past the interpreter's str-to-int digit limit, is a one-line
-    usage error (the latter gives its length, not its digits); p and q
-    (lo None) are bounded by Schlafli instead, in an error record."""
+    lo or above hi, or one past the interpreter's str-to-int digit limit, is
+    a one-line usage error (the latter gives its length, not its digits); p
+    and q (lo None) are bounded by Schlafli instead, in an error record."""
     if name == "p" and text.lower() == "inf":
         return INFINITY
     try:
@@ -93,6 +95,8 @@ def _parse_int(name: str, lo: int | None, text: str):
         raise argparse.ArgumentTypeError(f"{name} must be an integer{inf}, got {_clip(text)!r}")
     if lo is not None and value < lo:
         _usage_error(f"{name} must be >= {lo}, got {_clip(str(value))}")
+    if hi is not None and value > hi:
+        _usage_error(f"{name} must be <= {hi}, got {_clip(str(value))}")
     return value
 
 
@@ -124,10 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check the series against an explicit map")
     common(sp)
-    depth, budget = partial(_parse_int, "--depth", 0), partial(_parse_int, "--budget", 1)
+    depth, budget = partial(_parse_int, "--depth", 0), partial(_parse_int, "--budget", 1, hi=MAX_VERTEX_BUDGET)
     sp.add_argument("--depth", type=depth, default=6, help="saturated depth to certify (default 6)")
     sp.add_argument(
-        "--budget", type=budget, default=DEFAULT_VERTEX_BUDGET, help="vertex budget (default %(default)s)"
+        "--budget",
+        type=budget,
+        default=DEFAULT_VERTEX_BUDGET,
+        help=f"vertex budget, at most {MAX_VERTEX_BUDGET} (default %(default)s)",
     )
     sp.add_argument("--dump-map", metavar="FILE", help="write the adjacency dump to FILE")
 
@@ -191,8 +198,9 @@ def record_asym(cgf: CensusGF) -> dict:
 
 def _open_dump(path: str | None):
     """Open the --dump-map file before the build, so a path that cannot be
-    written is a usage error rather than a failure after the work."""
-    if not path:
+    written, the empty one included, is a usage error rather than a failure
+    after the work."""
+    if path is None:
         return contextlib.nullcontext()
     try:
         return open(path, "w", encoding="utf-8")

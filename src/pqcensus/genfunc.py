@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from pqcensus.polyarith import ZERO, IntPoly, RationalGF, gf_normalize
+from pqcensus.polyarith import ZERO, FrozenValue, IntPoly, RationalGF, gf_normalize
 
 CASE_TREE = "TREE"
 CASE_EVEN = "EVEN"
@@ -42,9 +42,12 @@ CASE_ODD = "ODD"
 # about 1/q, certified to an absolute 2^-40 cell, so q is bounded as well
 MAX_DEGREE = 2048
 
-# vertices the oracle may build for one ``verify``; it lives here, beside the
-# other bound, so that the CLI's parser reads it without importing the oracle
+# vertices the oracle may build for one ``verify``, by default and at most
+# (about 2 GB at the ~200 bytes a vertex of a {8,8} build); they live here,
+# beside the other bound, so that the CLI's parser reads them without
+# importing the oracle
 DEFAULT_VERTEX_BUDGET = 200_000
+MAX_VERTEX_BUDGET = 10_000_000
 
 
 class BadDegree(ValueError):
@@ -61,23 +64,23 @@ class SphericalOutOfScope(ValueError):
 
 
 class _Infinity:
-    """Face degree of the tree case; a dedicated object, never an int."""
+    """Face degree of the tree case; a dedicated object, never an int, and
+    the only one: it pickles and copies by name."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        return "INFINITY"
 
     def __repr__(self) -> str:
         return "INFINITY"
+
+    def __str__(self) -> str:
+        return "inf"
 
 
 INFINITY = _Infinity()
 
 
-class Schlafli:
+class Schlafli(FrozenValue):
     """Symbol {p,q}; p is an int in 3..MAX_DEGREE or INFINITY, q an int in 3..MAX_DEGREE.
 
     Immutable: symbols compare and hash equal by (p, q).
@@ -99,21 +102,6 @@ class Schlafli:
                 raise BadDegree(f"face degree p must be at most {MAX_DEGREE}, got {p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: Schlafli is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: Schlafli is immutable")
-
-    def __eq__(self, other):
-        return (self.p, self.q) == (other.p, other.q) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __reduce__(self):
-        return Schlafli, (self.p, self.q)
 
     def __repr__(self) -> str:
         return f"Schlafli(p={self.p!r}, q={self.q!r})"
@@ -146,8 +134,7 @@ class Schlafli:
         return not self.is_tree and 2 * (self.p + self.q) < self.p * self.q
 
     def __str__(self) -> str:
-        p = "inf" if self.is_tree else str(self.p)
-        return f"{{{p},{self.q}}}"
+        return f"{{{self.p},{self.q}}}"
 
 
 class CensusGF(NamedTuple):

@@ -600,9 +600,8 @@ def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:
     class tag, degree and neighbors in rotation order."""
     dist = m.distances()
     trusted = report.trusted_depth if report is not None else m._horizon[0]
-    p = "inf" if m.symbol.is_tree else str(m.symbol.p)
     lines = [
-        f"# map p={p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={trusted}",
+        f"# map p={m.symbol.p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={trusted}",
         "# vertex generation type degree neighbors-in-rotation-order",
     ]
     for v in range(m.vertex_count):

@@ -37,10 +37,37 @@ class NonUnitDenominator(ArithmeticError):
     """
 
 
-class IntPoly:
+class FrozenValue:
+    """Immutable value whose fields are its subclass's ``__slots__``, each set
+    once in ``__init__`` by ``object.__setattr__``; equality (within one
+    class), hashing and pickling go by those fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class IntPoly(FrozenValue):
     """Dense integer polynomial; ``IntPoly([1, -3, 1])`` is 1 - 3z + z^2.
 
     Immutable: equal polynomials compare and hash equal by ``coeffs``.
+    ``+`` and ``*`` take two polynomials, never an int.
     """
 
     __slots__ = ("coeffs",)
@@ -51,21 +78,6 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: IntPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: IntPoly is immutable")
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __reduce__(self):
-        return IntPoly, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -82,17 +94,18 @@ class IntPoly:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other: IntPoly | int) -> IntPoly:
-        o = _coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return IntPoly([self[i] + o[i] for i in range(n)])
+    def __add__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        n = max(len(self.coeffs), len(other.coeffs))
+        return IntPoly([self[i] + other[i] for i in range(n)])
 
     def __neg__(self) -> IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
-    def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
+    def __mul__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -101,9 +114,6 @@ class IntPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly(out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
@@ -141,10 +151,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly([1])
-
-
-def _coerce(x: IntPoly | int) -> IntPoly:
-    return IntPoly([x]) if isinstance(x, int) else x
 
 
 def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:

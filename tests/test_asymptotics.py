@@ -13,6 +13,8 @@ from pqcensus.asymptotics import (
     TREE,
     NoRootFound,
     _certify_smallest_root,
+    _sign_changes,
+    _sturm_chain,
     growth,
     palindrome_check,
 )
@@ -175,6 +177,21 @@ class TestPalindrome:
     def test_all_hyperbolic_denominators_palindromic(self):
         for s in HYPERBOLIC_GRID:
             assert palindrome_check(derive(s).v.den), s
+
+
+class TestCensusDenominatorRoot:
+    def test_one_irrational_root_in_unit_interval(self):
+        # every census Q has one root in (0,1] by its Sturm count, none at 1,
+        # and a leading coefficient of +-1, so (with Q(0) = 1) no rational
+        # root in (0,1); the certifier's multi-root bisection and exact-root
+        # returns thus run only for the products of TestGrowth and
+        # test_isolates_smallest_of_product_roots, never for a census
+        for s in HYPERBOLIC_GRID:
+            q = derive(s).v.den
+            chain = _sturm_chain(q)
+            assert _sign_changes(chain, 0, 1) - _sign_changes(chain, 1, 1) == 1, s
+            assert abs(q.coeffs[-1]) == 1 and q[0] == 1, s
+            assert q(1) != 0, s
 
 
 class TestRatioProbe:

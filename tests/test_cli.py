@@ -358,6 +358,14 @@ class TestErrorRecordsInCsv:
 
 
 class TestUsageErrors:
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        # arguments are checked before the build, so a refused one costs no work
+        def build_map(*args):
+            raise AssertionError("build_map ran before the arguments were checked")
+
+        monkeypatch.setattr(oracle, "build_map", build_map)
+
     def exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -390,9 +398,19 @@ class TestUsageErrors:
     def test_negative_depth(self, capsys):
         assert "--depth must be >= 0, got -1" in self.exit_one(capsys, ["verify", "4", "5", "--depth", "-1"])
 
-    @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_nonpositive_budget(self, capsys, budget):
-        assert f"--budget must be >= 1, got {budget}" in self.exit_one(capsys, ["verify", "4", "5", "--budget", budget])
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            ("0", "--budget must be >= 1, got 0"),
+            ("-3", "--budget must be >= 1, got -3"),
+            # refused before the build: the tree to depth 12 would not fit in memory
+            ("1000000000000", "--budget must be <= 10000000, got 1000000000000"),
+        ],
+        ids=["0", "-3", "1000000000000"],
+    )
+    def test_nonpositive_budget(self, capsys, no_build, budget, message):
+        argv = ["verify", "inf", "8", "--depth", "12", "--budget", budget]
+        assert message in self.exit_one(capsys, argv)
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -451,15 +469,11 @@ class TestUsageErrors:
         assert echo in last and "characters)" in last
         assert len(last.encode()) < 200
 
-    @pytest.mark.parametrize("target", ["missing-dir/x", "."])
-    def test_unwritable_dump_path(self, capsys, monkeypatch, tmp_path, target):
-        # the path is opened before the build, so a bad one costs no work
-        def no_build(*args):
-            raise AssertionError("build_map ran before the dump path was checked")
-
-        monkeypatch.setattr(oracle, "build_map", no_build)
+    @pytest.mark.parametrize("target", ["missing-dir/x", ".", ""])
+    def test_unwritable_dump_path(self, capsys, no_build, tmp_path, target):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "4", "5", "--depth", "2", "--dump-map", str(tmp_path / target)])
+            # the empty path is passed as is
+            cli.main(["verify", "4", "5", "--depth", "2", "--dump-map", target and str(tmp_path / target)])
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -470,7 +484,7 @@ class TestUsageErrors:
 def cli_argv(draw):
     """Any subcommand and format over small symbols, with sizes capped so
     that no run builds more than 5000 vertices or sums more than 200 terms;
-    negative n and depth, budgets below 1 and 4400-digit n, depth or budget
+    negative n and depth, budgets below 1 or above 10^7 and 4400-digit n, depth or budget
     are included as usage errors, and p or q past the supported range as out
     of scope."""
 
@@ -491,7 +505,7 @@ def cli_argv(draw):
         options.insert(draw(st.sampled_from([0, 2, len(options)])), n)
     elif cmd == "verify":
         depth = now_and_then(st.integers(-1, 12), [HUGE])
-        options += ["--depth", depth, "--budget", now_and_then(st.integers(1, 5000), ["0", "-3", HUGE])]
+        options += ["--depth", depth, "--budget", now_and_then(st.integers(1, 5000), ["0", "-3", "10000001", HUGE])]
     return argv + options
 
 

@@ -73,6 +73,13 @@ class TestSchlafli:
         assert pickle.loads(pickle.dumps(Schlafli(INFINITY, 3))) == Schlafli(INFINITY, 3)
         assert copy.deepcopy(s) == s
 
+    def test_infinity_is_one_object(self):
+        # pickled and copied by name, so a round trip gives INFINITY itself
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+        assert copy.deepcopy(INFINITY) is INFINITY and copy.copy(INFINITY) is INFINITY
+        assert pickle.loads(pickle.dumps(Schlafli(INFINITY, 3))).p is INFINITY
+        assert (repr(INFINITY), str(INFINITY)) == ("INFINITY", "inf")
+
 
 # the six hand-reduced closed forms, plus series openings
 REDUCED_FORMS = {

@@ -90,6 +90,16 @@ class TestIntPoly:
         assert pickle.loads(pickle.dumps(a)) == a
         assert copy.deepcopy(a) == a
 
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a: a + 1, lambda a: 1 + a, lambda a: a * 2, lambda a: 2 * a, lambda a: P() * 2],
+        ids=["poly+int", "int+poly", "poly*int", "int*poly", "zero*int"],
+    )
+    def test_int_operand_refused(self, op):
+        # + and * take two polynomials; an int is a TypeError, never a constant
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(P(1, -3, 1))
+
 
 class TestDivExact:
     def test_difference_of_squares(self):
