@@ -50,7 +50,7 @@ from pqcensus.genfunc import (
     SphericalOutOfScope,
     derive,
 )
-from pqcensus.polyarith import series_coeffs
+from pqcensus.polyarith import extend_recurrence, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 EXIT_OK = 0
@@ -169,9 +169,23 @@ def record_genfunc(cgf: CensusGF) -> dict:
     }
 
 
+def _census_series(cgf: CensusGF, n: int) -> list[int]:
+    """v(0..n), extended on one list in chunks that double in length until
+    one ends in a term too long to print, which ``_ints`` then refuses: an
+    unprintable census costs about its printable prefix, not all n + 1
+    terms, whose total size grows as n**2."""
+    rec = rec_from_gf(cgf.v)
+    limit = sys.get_int_max_str_digits()
+    max_bits = limit * 10 // 3 + 1 if limit else float("inf")  # 10/3 > log2(10)
+    out = rec_eval(rec, min(n, len(rec.initial_terms)))
+    while len(out) <= n and out[-1].bit_length() <= max_bits:
+        extend_recurrence(out, rec.rec_coeffs, min(n, 2 * len(out)))
+    return out
+
+
 def record_census(cgf: CensusGF, n: int, types: bool) -> dict:
     rec = record_genfunc(cgf)
-    rec["series"] = _ints(rec_eval(rec_from_gf(cgf.v), n))
+    rec["series"] = _ints(_census_series(cgf, n))
     if types:
         rec["types"] = {
             "a": _ints(series_coeffs(cgf.a, n)),

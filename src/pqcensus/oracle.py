@@ -49,16 +49,17 @@ it (for {8,8} at depth 5, about 22 thousand of 780 thousand vertices).
 ``distances``.  The classifier is one table per derivation case
 (``Schlafli.case``) from a vertex's parent/sibling/cousin profile to its class.
 
-Storage is flat: a few lists indexed by half-edge id (origin, next, prev)
-and a few indexed by vertex id (degree, boundary half-edge, any half-edge),
-with no container object per vertex or per face.  Closed faces per vertex
-are not stored: the saturation rule reads degree == q and no boundary
-half-edge, and the glue run extends across boundary vertices of degree q.
-Adjacency is not stored separately; a vertex's neighbors are read off the
-rotation system.  Half-edge conventions: half-edges are allocated in twin
-pairs, so twin(h) = h ^ 1.  ``next`` points along the incident face cycle
-(closed faces and the outer boundary both form cycles); rotation around a
-vertex falls out as twin(prev(h)).
+Storage is flat: origin and next per half-edge; degree, gap half-edge and
+one outgoing half-edge per vertex; one half-edge per closed face; and no
+container object per vertex or per face.  Half-edges come in twin pairs,
+twin(h) = h ^ 1.  ``next`` runs along the incident face cycle (closed faces
+and the outer boundary both form cycles) and is the only pointer stored:
+rotation around a vertex steps from an outgoing h to next(twin(h)).  A
+vertex's gap half-edge runs into it at its open gap (on a disk the incoming
+boundary half-edge, on a tree the slot before its first half-edge) and is
+-1 once the vertex is closed.  Closed faces per vertex are not stored: the
+saturation rule reads degree == q and no gap, and the glue run extends
+across boundary vertices of degree q.
 """
 
 from __future__ import annotations
@@ -136,21 +137,20 @@ class CensusReport(NamedTuple):
 class PlanarMap:
     """Growable half-edge map of a {p,q} disk (or of the q-regular tree).
 
-    All state lives in flat lists indexed by half-edge or vertex id.  The
-    neighbors of a vertex are read off the rotation system (the ``next``/
-    ``prev`` cycles) rather than stored a second time.
+    All state lives in six flat lists indexed by half-edge or vertex id.
+    Only ``next`` is stored: the neighbors of a vertex are read off the
+    rotation system, stepping from an outgoing half-edge h to next(twin(h)).
     """
 
     def __init__(self, symbol: Schlafli):
         self.symbol = symbol
         self._he_origin: list[int] = []
         self._he_next: list[int] = []
-        self._he_prev: list[int] = []
         self._faces: list[int] = []  # one half-edge per closed face
         self._v_deg: list[int] = [0]
-        # outgoing boundary half-edge, -1 if none: a vertex is saturated
-        # when its degree is q and this is -1 (trees never set it)
-        self._v_bhe: list[int] = [-1]
+        # the half-edge into v at its open gap, -1 once v is closed: a
+        # vertex is saturated when its degree is q and this is -1
+        self._v_gap: list[int] = [-1]
         self._v_half: list[int] = [-1]  # any outgoing half-edge
 
     # -- read-only surface ------------------------------------------------
@@ -171,7 +171,7 @@ class PlanarMap:
         return self._v_deg[v]
 
     def is_saturated(self, v: int) -> bool:
-        return self._v_deg[v] == self.symbol.q and self._v_bhe[v] < 0
+        return self._v_deg[v] == self.symbol.q and self._v_gap[v] < 0
 
     def twin(self, h: int) -> int:
         return h ^ 1
@@ -183,18 +183,19 @@ class PlanarMap:
         return self._he_origin[h ^ 1]
 
     def rotation(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in cyclic order around it, from the embedding."""
+        """Neighbors of v in cyclic order around it, from the embedding:
+        from ``_v_half[v]`` on, against the next(twin(h)) walk."""
         h0 = self._v_half[v]
         if h0 < 0:
             return ()
-        origin, prv = self._he_origin, self._he_prev
+        origin, nxt = self._he_origin, self._he_next
         out = []
         h = h0
         for _ in range(self._v_deg[v]):
             out.append(origin[h ^ 1])
-            h = prv[h] ^ 1
+            h = nxt[h ^ 1]
             if h == h0:
-                return tuple(out)
+                return (out[0], *out[:0:-1])
         raise RuntimeError(f"rotation walk around {v} does not close")
 
     def face_vertices(self, f: int) -> tuple[int, ...]:
@@ -220,7 +221,7 @@ class PlanarMap:
     def _unsaturated_in(self, level: list[int]) -> bool:
         return (
             min(map(self._v_deg.__getitem__, level)) < self.symbol.q
-            or max(map(self._v_bhe.__getitem__, level)) >= 0
+            or max(map(self._v_gap.__getitem__, level)) >= 0
         )
 
     def _bfs(self, cap: int | None = None, horizon: bool = False) -> tuple[list[int], list[list[int]]]:
@@ -228,10 +229,10 @@ class PlanarMap:
 
         Stops after generation ``cap`` (no cap when None) or, with
         ``horizon``, after the first generation holding an unsaturated
-        vertex.  ``levels[d]`` lists generation d in discovery order;
-        vertices never reached keep distance -1.
+        vertex.  ``levels[d]`` lists generation d in an order that every
+        reader sorts or ignores; vertices never reached keep distance -1.
         """
-        origin, prv, half = self._he_origin, self._he_prev, self._v_half
+        origin, nxt, half = self._he_origin, self._he_next, self._v_half
         dist = [-1] * self.vertex_count
         dist[0] = 0
         level = [0]
@@ -242,7 +243,7 @@ class PlanarMap:
             d += 1
             grown = []
             for v in level:
-                # walk the rotation around v: twin(prev(h)) is the next
+                # walk the rotation around v: next(twin(h)) is the next
                 # outgoing half-edge
                 h0 = h = half[v]
                 while True:
@@ -250,7 +251,7 @@ class PlanarMap:
                     if dist[w] < 0:
                         dist[w] = d
                         grown.append(w)
-                    h = prv[h] ^ 1
+                    h = nxt[h ^ 1]
                     if h == h0:
                         break
             if not grown:
@@ -279,13 +280,11 @@ class PlanarMap:
     def _attach_face(self, v: int, budget: int | None):
         """Glue one new p-gon into the open gap behind boundary vertex v."""
         p, q = self.symbol.p, self.symbol.q
-        deg = self._v_deg
-        origin = self._he_origin
-        nxt, prv = self._he_next, self._he_prev
-        h_out = self._v_bhe[v]
-        if h_out < 0:
+        deg, gap = self._v_deg, self._v_gap
+        origin, nxt = self._he_origin, self._he_next
+        if gap[v] < 0:
             raise RuntimeError(f"attach requested at interior vertex {v}")
-        run = [prv[h_out]]
+        run = [gap[v]]
         # A boundary vertex with q edges (q - 1 faces) must be swallowed
         # whole by its last face, so the glue run is forced to extend across it.
         while deg[origin[run[-1] ^ 1]] == q:
@@ -293,7 +292,7 @@ class PlanarMap:
             if len(run) >= p:
                 raise RuntimeError("glue run exceeded face degree")
         while deg[origin[run[0]]] == q:
-            run.insert(0, prv[run[0]])
+            run.insert(0, gap[origin[run[0]]])
             if len(run) >= p:
                 raise RuntimeError("glue run exceeded face degree")
         k = len(run)
@@ -307,7 +306,7 @@ class PlanarMap:
             raise BudgetExceeded(self)
         if m == 0 and u0 in self.rotation(uk):
             raise RuntimeError("closing chord already present; map would lose simplicity")
-        before, after = prv[run[0]], nxt[run[-1]]
+        before, after = gap[u0], nxt[run[-1]]
         self._faces.append(run[0])
         # New path uk, w_1 .. w_m, u0 with w_j = nv0 + j - 1.  Its edge i
         # joins chain[i] and chain[i + 1]: half-edge cs[i] runs forward
@@ -324,23 +323,18 @@ class PlanarMap:
         nxt += he
         nxt[h0::2] = cs[1:] + run[:1]
         nxt[h0 + 1::2] = [after] + ts[:-1]
-        prv += he
-        prv[h0::2] = run[-1:] + cs[:-1]
-        prv[h0 + 1::2] = ts[1:] + [before]
         nxt[run[-1]] = cs[0]
-        prv[run[0]] = cs[-1]
         nxt[before] = ts[-1]
-        prv[after] = ts[0]
         deg += [2] * m
         deg[uk] += 1
         deg[u0] += 1
-        bhe = self._v_bhe
         for w in verts[1:-1]:
             if deg[w] != q:
                 raise RuntimeError(f"swallowed vertex {w} ended unsaturated")
-            bhe[w] = -1
-        bhe[u0] = ts[-1]
-        bhe += ts[:m]
+            gap[w] = -1
+        # u0 keeps its gap; ts[i] runs into chain[i]
+        gap[uk] = ts[0]
+        gap += ts[1:]
         self._v_half += ts[:m]
 
     def _attach_fan(self, v: int, budget: int | None):
@@ -357,11 +351,10 @@ class PlanarMap:
         """
         q, m = self.symbol.q, self.symbol.p - 2
         M = m + 1  # new edges per face
-        deg, bhe = self._v_deg, self._v_bhe
-        origin, nxt, prv = self._he_origin, self._he_next, self._he_prev
-        h_out = bhe[v]
-        e = prv[h_out]
-        before, u0 = prv[e], origin[e]
+        deg, gap = self._v_deg, self._v_gap
+        origin, nxt = self._he_origin, self._he_next
+        e = gap[v]
+        h_out, u0 = nxt[e], origin[e]
         if u0 == v:
             raise RuntimeError("glue run self-intersects; disk invariant broken")
         nv0 = len(deg)
@@ -377,68 +370,61 @@ class PlanarMap:
             he = list(range(h0, h0 + 2 * r * M))
             cs, ts = he[0::2], he[1::2]
             es = [e, *ts[0 : (r - 1) * M : M]]  # e_j
-            ends = ts[2 * M - 1 :: M]  # ts_j[m] for j > 0, out of u0_j
             # origin: chain_j[i] along cs, chain_j[i + 1] along ts
             ocs = list(chain.from_iterable(zip(repeat(v, r), *[iter(range(nv0, nv0 + r * m))] * m)))
             ots = ocs[1:] + [u0]
             ots[m::M] = [u0, *ocs[1 : (r - 1) * M : M]]
             # next: the face cycle closes through e_j; the boundary runs
             # ts_j[m] .. ts_j[0], except that face j + 1 is glued along
-            # ts_j[0] and continues the boundary at ts_j[1]
+            # ts_j[0], so ts_j[1] is followed by ts_{j+1}[m]
             ncs = cs[1:] + [e]
             ncs[m::M] = es
             nts = [h_out] + ts[:-1]
             nts[0::M] = [*cs[M::M], h_out]
-            nts[1 : (r - 1) * M : M] = ends
-            # prev: the mirror image
-            pcs = [e] + cs[:-1]
-            pcs[0::M] = es
-            pts = ts[1:] + [before]
-            pts[m::M] = [before, *ts[1 : (r - 1) * M : M]]
-            pts[0 : (r - 1) * M : M] = cs[2 * M - 1 :: M]
-            for lst, even, odd in ((origin, ocs, ots), (nxt, ncs, nts), (prv, pcs, pts)):
+            nts[1 : (r - 1) * M : M] = ts[2 * M - 1 :: M]
+            for lst, even, odd in ((origin, ocs, ots), (nxt, ncs, nts)):
                 lst += he
                 lst[h0::2] = even
                 lst[h0 + 1 :: 2] = odd
-            nxt[e], prv[e], nxt[before], prv[h_out] = cs[0], cs[m], ts[m], ts[-M]
+            nxt[e], nxt[gap[u0]] = cs[0], ts[m]
             self._faces += es
             deg += [2] * (r * m)
             deg[nv0 : nv0 + (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
             deg[v] += r
             deg[u0] += 1
-            bhe[u0] = ts[m]
-            del ts[m::M]  # leaves ts_j[i] for i < m, the half-edge out of w_j[i]
-            self._v_half += ts
-            bhe += ts
-            bhe[nv0 : nv0 + (r - 1) * m : m] = ends
+            # u0 keeps its gap, v's runs in from the last face; for i < m,
+            # ts_j[i] runs out of w_j[i] and ts_j[i + 1] into it
+            gap[v] = ts[-M]
+            outs, ins = ts[:-1], ts[1:]
+            del outs[m::M], ins[m::M]
+            self._v_half += outs
+            gap += ins
         if deg[v] < q:
             raise BudgetExceeded(self)
 
     def _attach_leaf(self, v: int, budget: int | None):
         """Hang one new leaf off vertex v (a tree step, and a disk's seed edge).
 
-        The pendant edge is spliced into v's rotation just before
+        The pendant edge is spliced into v's rotation at its gap, just before
         ``_v_half[v]``, so v's neighbors keep the order they were added in.
         """
         leaf = len(self._v_deg)
         if budget is not None and leaf + 1 > budget:
             raise BudgetExceeded(self)
-        nxt, prv, half = self._he_next, self._he_prev, self._v_half
+        deg, gap, half = self._v_deg, self._v_gap, self._v_half
         a = len(self._he_origin)  # runs v -> leaf, its twin b leaf -> v
         b = a + 1
         h0 = half[v]
         if h0 < 0:  # a bare vertex: the new edge's two sides form the whole cycle
             half[v] = h0 = a
-            ins = b
-        else:
-            ins = prv[h0]
+            gap[v] = b
         self._he_origin += (v, leaf)
-        nxt += (b, h0)
-        prv += (ins, a)
-        nxt[ins], prv[h0] = a, b
-        self._v_deg[v] += 1
-        self._v_deg.append(1)
-        self._v_bhe.append(-1)
+        self._he_next += (b, h0)
+        self._he_next[gap[v]] = a
+        deg[v] += 1
+        gap[v] = b if deg[v] < self.symbol.q else -1
+        deg.append(1)
+        gap.append(a)
         half.append(b)
 
     def _saturate(self, targets: list[int], budget: int | None):
@@ -451,20 +437,19 @@ class PlanarMap:
         other than ``_grow``'s can reach v with u0 at q edges; the one face
         then swallows u0, where a row would give it q + 1.
         """
-        q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
-        origin, prv = self._he_origin, self._he_prev
+        q, deg, gap = self.symbol.q, self._v_deg, self._v_gap
+        origin, tree = self._he_origin, self.symbol.is_tree
         for v in targets:
-            while deg[v] < q or bhe[v] >= 0:
-                h = bhe[v]
-                if h < 0:
+            while deg[v] < q or gap[v] >= 0:
+                if tree:
                     self._attach_leaf(v, budget)
-                elif deg[v] < q and deg[origin[prv[h]]] < q:
+                elif deg[v] < q and deg[origin[gap[v]]] < q:
                     self._attach_fan(v, budget)
                 else:
                     self._attach_face(v, budget)
 
     def _grow(self, depth: int, budget: int | None):
-        q, deg, bhe = self.symbol.q, self._v_deg, self._v_bhe
+        q, deg, gap = self.symbol.q, self._v_deg, self._v_gap
         if not self.symbol.is_tree:
             # The first face is glued along a seed edge 0 -> 1 with both
             # sides on the boundary, like every other face.  It is all or
@@ -472,7 +457,6 @@ class PlanarMap:
             if budget is not None and self.symbol.p > budget:
                 raise BudgetExceeded(self)
             self._attach_leaf(0, budget)
-            bhe[:] = [0, 1]
             self._attach_face(1, budget)
         # Every target of a round ends saturated, and once ball(r - 2) is
         # saturated no vertex can join ball(r - 1) or change distance inside
@@ -481,7 +465,7 @@ class PlanarMap:
         # targets.
         for _ in range(depth + 2):
             # unsaturated vertices within depth, nearest first, then by id
-            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if deg[v] < q or bhe[v] >= 0]
+            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if deg[v] < q or gap[v] >= 0]
             if not targets:
                 return
             self._saturate(targets, budget)

@@ -55,9 +55,39 @@ def check_map_structure(m: PlanarMap):
     for h in range(m.half_edge_count):
         assert m.twin(m.twin(h)) == h
         assert m.origin_of(m.twin(h)) == m.head_of(h)
+    check_gaps(m)
     if not m.symbol.is_tree and m.face_count:
         # disk Euler characteristic, counting only closed faces
         assert m.vertex_count - n_edges + m.face_count == 1
+
+
+def check_gaps(m: PlanarMap):
+    """Audit each vertex's gap half-edge against the ``next`` cycles.
+
+    A gap runs into its vertex, and its ``next`` leaves it.  On a tree the
+    gap is the slot before ``_v_half[v]`` and is open exactly while v has
+    fewer than q edges.  On a disk the gaps are the outer cycle: walking
+    ``next`` from any gap passes through every open vertex's gap and
+    nothing else.
+    """
+    q, nxt = m.symbol.q, m._he_next
+    gaps = {h: v for v, h in enumerate(m._v_gap) if h >= 0}
+    for h, v in gaps.items():
+        assert m.head_of(h) == v, f"gap of {v} does not run into it"
+        assert m.origin_of(nxt[h]) == v, f"gap of {v} is not followed by a half-edge out of it"
+    if m.symbol.is_tree:
+        for v, h in enumerate(m._v_gap):
+            assert (h >= 0) == (0 < m.degree(v) < q), f"vertex {v} with {m.degree(v)} edges has gap {h}"
+            if h >= 0:
+                assert nxt[h] == m._v_half[v], f"gap of {v} is not the slot before its first half-edge"
+    elif gaps:
+        h0 = h = next(iter(gaps))
+        cycle = set()
+        while h not in cycle:
+            assert h in gaps, "outer cycle passes a half-edge that is no gap"
+            cycle.add(h)
+            h = nxt[h]
+        assert h == h0 and cycle == gaps.keys(), "outer cycle misses a gap"
 
 
 def _face_extremes(m: PlanarMap, f: int, dist):

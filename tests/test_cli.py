@@ -141,6 +141,22 @@ class TestCensus:
             "set PYTHONINTMAXSTRDIGITS=0 to print it\n"
         )
 
+    def test_unprintable_census_stops_early(self, capsys, digit_limit, monkeypatch):
+        # the terms grow linearly in length, so evaluating all n + 1 of them
+        # before the refusal would take memory growing as n**2; the series
+        # is cut within about twice its printable prefix
+        series = rec_eval(rec_from_gf(derive(Schlafli(4, 5)).v), 2000)
+        first = min(i for i, x in enumerate(series) if len(str(x)) > 640)
+        converted = []
+        ints = cli._ints
+        monkeypatch.setattr(cli, "_ints", lambda xs: converted.append(len(xs)) or ints(xs))
+        digit_limit(640)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "4", "5", "12000", "--types"])
+        assert exc.value.code == 1
+        assert "more than 640 digits" in capsys.readouterr().err
+        assert first < max(converted) < 3 * first  # the series; the gf's lists are short
+
     def test_long_census_with_limit_lifted(self, capsys, digit_limit):
         digit_limit(0)  # what PYTHONINTMAXSTRDIGITS=0 sets
         code, out = run(capsys, "census", "4", "5", "12000")

@@ -9,7 +9,16 @@ from conftest import (
     latest_vertex_face_audit,
     reference_census,
 )
-from pqcensus.genfunc import CASE_EVEN, CASE_ODD, CASE_TRIANGLE, INFINITY, Schlafli, SphericalOutOfScope, derive
+from pqcensus.genfunc import (
+    CASE_EVEN,
+    CASE_ODD,
+    CASE_TRIANGLE,
+    DEFAULT_VERTEX_BUDGET,
+    INFINITY,
+    Schlafli,
+    SphericalOutOfScope,
+    derive,
+)
 from pqcensus.oracle import (
     BudgetExceeded,
     PlanarMap,
@@ -42,11 +51,11 @@ SAMPLE = [
 ]
 
 
-def build_or_partial(pq, depth):
-    """The map build_map makes at the default budget, or the partial map
-    it gives up with."""
+def build_or_partial(pq, depth, budget=DEFAULT_VERTEX_BUDGET):
+    """The map build_map makes at the budget (by default the default one),
+    or the partial map it gives up with."""
     try:
-        return build_map(Schlafli(*pq), depth)
+        return build_map(Schlafli(*pq), depth, budget)
     except BudgetExceeded as exc:
         return exc.partial_map
 
@@ -145,19 +154,25 @@ class TestBuildMap:
 
     # Vertex ids, rotation order and face order are part of the output
     # (dumps, perfbench references), so however the builder glues faces it
-    # must make exactly these maps.
+    # must make exactly these maps.  The trees pin the rotation order of
+    # leaves, one built in full and one cut by a budget.
     @pytest.mark.parametrize(
-        "pq,depth,digest",
+        "pq,depth,budget,digest",
         [
-            ((3, 7), 6, "a23bf44de369ddba5b065f72485b2c22e37c987e218d007882e0ee90a98acc4f"),
-            ((7, 3), 7, "bc61ceca05e152392d2a84c37c9a0c37d4d7fcef6d4831fff36fabbddb542511"),
-            ((20, 3), 4, "d09b5a009494216a1a34d533d62df0b6b94acce9558868273e83b821f44f5b2f"),
-            ((3, 20), 2, "81dc5267b66bdbe78c317bd0b969675ed7cec5fb150c7b717beb67d88cd0ef92"),
+            pytest.param(pq, depth, budget, digest, id=f"{pq}-{depth}-{digest}" + (f"-budget{budget}" if budget else ""))
+            for pq, depth, budget, digest in [
+                ((3, 7), 6, None, "a23bf44de369ddba5b065f72485b2c22e37c987e218d007882e0ee90a98acc4f"),
+                ((7, 3), 7, None, "bc61ceca05e152392d2a84c37c9a0c37d4d7fcef6d4831fff36fabbddb542511"),
+                ((20, 3), 4, None, "d09b5a009494216a1a34d533d62df0b6b94acce9558868273e83b821f44f5b2f"),
+                ((3, 20), 2, None, "81dc5267b66bdbe78c317bd0b969675ed7cec5fb150c7b717beb67d88cd0ef92"),
+                ((INFINITY, 3), 6, None, "075d2dd3d4acdb69c55077e20283240d1098843cc52a8836e3569d420a108933"),
+                ((INFINITY, 8), 6, 2000, "8b4a7b3f03f2f7f25c6892b7978026837ed4a70a1269eff1668f17b2cbe6cdba"),
+            ]
         ],
-        ids=str,
     )
-    def test_dump_digest(self, pq, depth, digest):
-        assert hashlib.sha256(dump_map(build_or_partial(pq, depth)).encode()).hexdigest() == digest
+    def test_dump_digest(self, pq, depth, budget, digest):
+        m = build_or_partial(pq, depth, budget or DEFAULT_VERTEX_BUDGET)
+        assert hashlib.sha256(dump_map(m).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "pq,depth,size,digest",
@@ -205,7 +220,7 @@ class TestBuildMap:
         u0 = 2
         while True:
             full = m.degree(u0) == s.q
-            w = m.head_of(m._v_bhe[u0])
+            w = m.head_of(m._he_next[m._v_gap[u0]])
             assert m.degree(w) < s.q
             m._saturate([w], None)
             check_map_structure(m)
@@ -240,7 +255,7 @@ class TestStructureAudit:
         check_map_structure(m)
         # a boundary vertex with q edges still has one open gap
         v = next(v for v in range(m.vertex_count) if m.degree(v) == 4 and not m.is_saturated(v))
-        m._v_bhe[v] = -1
+        m._v_gap[v] = -1
         with pytest.raises(AssertionError, match=f"saturated vertex {v} lies on 3 faces"):
             check_map_structure(m)
 
