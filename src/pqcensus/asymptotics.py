@@ -1,15 +1,14 @@
 """Growth constants of a census from its generating function.
 
-For a hyperbolic symbol the denominator Q has a unique smallest positive
-root z0 in (0,1); the census grows like v(n) ~ A * z0^(-n) with amplitude
-A = -P(z0) / (z0 Q'(z0)).  The root is certified by exact integer root
-isolation: the Sturm chain of Q proves that Q is squarefree, so z0 is a
-simple root, and that z0 is the smallest positive root of Q; bisection at
-dyadic points m/2^k, with Q evaluated as the integer 2^(k deg Q) Q(m/2^k),
-then encloses z0 in a dyadic cell of width 2^-40 (<= 1e-12).  We return a
-binary64 value together with that cell.  The chain does not prove z0
-dominant, i.e. that no complex root of Q has modulus <= z0, which the
-amplitude formula assumes.
+For a hyperbolic symbol the denominator Q has a simple root z0 in (0,1)
+that is dominant: every other root of Q, complex ones included, has larger
+modulus.  The census then grows like v(n) ~ A * z0^(-n) with amplitude
+A = -P(z0) / (z0 Q'(z0)).  Both facts are certified in exact integers.
+Rouché's theorem, applied to a Graeffe iterate of the sparse polynomial
+(1 - z) Q, gives a disk about 0 that holds at most one root of Q, and Q
+changes sign inside it.  Bisection at dyadic points m/2^k, with Q evaluated
+as the integer 2^(k deg Q) Q(m/2^k), encloses z0 in a dyadic cell of width
+2^-40 (<= 1e-12).  We return a binary64 value together with that cell.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported
@@ -23,7 +22,7 @@ from math import ceil
 from typing import NamedTuple
 
 from pqcensus.genfunc import Schlafli, SphericalOutOfScope
-from pqcensus.polyarith import IntPoly, RationalGF, primitive, pseudo_rem
+from pqcensus.polyarith import IntPoly, RationalGF
 
 HYPERBOLIC = "HYPERBOLIC"
 EUCLIDEAN = "EUCLIDEAN"
@@ -31,15 +30,20 @@ TREE = "TREE"
 
 _TARGET_WIDTH = Fraction(1, 10**12)
 
+# Graeffe steps tried before a denominator is refused; every census with
+# p, q <= 40 needs at most 3, but 6 would refuse dominant roots in near ties
+# such as 1/46 beside 1/45 and -1/45, which take 7
+_GRAEFFE_STEPS = 8
+
 
 class NoRootFound(ArithmeticError):
-    """Q has no root in (0,1], or is not squarefree, although the symbol is hyperbolic."""
+    """No root of Q in (0,1] is proved simple and of least modulus, although the symbol is hyperbolic."""
 
 
 class GrowthInfo(NamedTuple):
     """Exponential growth data of one census.
 
-    ``z0`` is the smallest positive denominator root (None for Euclidean),
+    ``z0`` is the denominator root of least modulus (None for Euclidean),
     ``z0_interval`` its certified enclosure, ``rate`` the limit of
     v(n+1)/v(n) and ``amplitude`` the constant A above (None for Euclidean).
     """
@@ -88,72 +92,64 @@ def _scaled_eval(cs, a: int, b: int) -> int:
     return acc
 
 
-def _sturm_chain(q: IntPoly) -> list[list[int]]:
-    """Sturm chain of q: q, q', then negated primitive pseudo-remainders.
+def _rouche_disk(q: IntPoly) -> tuple[int, int, int]:
+    """(N, c, b) with N a power of 2 such that q has at most one root,
+    counted with multiplicity, in the disk |z|^N < 2c/b.
 
-    Every member is a positive multiple of the classical Sturm polynomial,
-    so sign counts are unchanged.  Raises NoRootFound unless the chain ends
-    in a nonzero constant, i.e. unless gcd(q, q') = 1 and every root of q
-    is simple.
+    M = (1 - z) q is a multiple of q, and for a census it is the sparse
+    common denominator that ``genfunc`` builds.  Its k-th Graeffe iterate
+    M_k, with M_{k+1}(z^2) = M_k(z) M_k(-z), has the N-th powers of the roots
+    of M as roots, N = 2^k.  Write M_k(w) = m0 + m1 w + g(w), g of order 2,
+    with c = |m0| and b = |m1|.  When sum |g_i| (2c/b)^i < c, then on
+    |w| = 2c/b we have |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem
+    M_k has exactly one root in that disk.  Each step squares the roots,
+    which pulls the smallest one away from the rest.
     """
-    chain = [list(q.coeffs)]
-    nxt = primitive(list(q.derivative().coeffs))
-    while nxt:
-        chain.append(nxt)
-        nxt = [-c for c in primitive(pseudo_rem(chain[-2], chain[-1]))]
-    if len(chain[-1]) > 1:
-        raise NoRootFound(f"({q}) is not squarefree: it shares a factor with its derivative")
-    return chain
-
-
-def _sign_changes(chain: list[list[int]], a: int, b: int) -> int:
-    """Sign changes along the chain at a/b, zeros skipped."""
-    changes, last = 0, 0
-    for cs in chain:
-        v = _scaled_eval(cs, a, b)
-        if v:
-            if last and (v < 0) != (last < 0):
-                changes += 1
-            last = v
-    return changes
+    cs = q.coeffs
+    m = {i: d for i, d in enumerate(u - v for u, v in zip(cs + (0,), (0,) + cs)) if d}
+    for k in range(_GRAEFFE_STEPS + 1):
+        n, c, b = max(m), abs(m[0]), abs(m.get(1, 0))
+        if b and sum(abs(g) * (2 * c) ** i * b ** (n - i) for i, g in m.items() if i > 1) < c * b**n:
+            return 1 << k, c, b
+        sq: dict[int, int] = {}
+        for i, x in m.items():
+            for j, y in m.items():
+                if (i - j) % 2 == 0:  # odd powers of M(z) M(-z) cancel
+                    sq[(i + j) // 2] = sq.get((i + j) // 2, 0) + (-x * y if j % 2 else x * y)
+        m = {i: d for i, d in sq.items() if d}
+    raise NoRootFound(f"Rouché's test isolates no root of least modulus of ({q}) in {_GRAEFFE_STEPS} Graeffe steps")
 
 
 def _certify_smallest_root(q: IntPoly, width: Fraction = _TARGET_WIDTH) -> tuple[Fraction, Fraction]:
-    """Enclose the smallest root of q in (0,1] in a dyadic cell of width <= width.
+    """Enclose the root of q of least modulus, which must lie in (0,1], in a
+    dyadic cell of width <= width.
 
-    q must have q(0) > 0, as every reduced denominator does.  Sturm's
-    theorem counts the distinct roots of q in (x, y] as V(x) - V(y), V
-    being the sign changes along the chain at a point.  Bisection keeps the
-    cell (lo/2^k, (lo+1)/2^k] with no root in (0, lo/2^k]: it splits on
-    Sturm counts until the cell holds exactly one root, then on the sign of
-    q alone until 2^-k <= width.  Returning proves that q is squarefree, so
-    the root is simple, and that the smallest root of q in (0,1] lies in the
-    returned cell; a zero-width cell is the root itself.
+    q must have q(0) > 0, as every reduced denominator does.  ``_rouche_disk``
+    gives a disk about 0 in which q has at most one root.  Bisection keeps the
+    cell (lo/2^k, (lo+1)/2^k] with q(lo/2^k) > 0: a midpoint outside the disk
+    sends it left, one inside goes by the sign of q, until 2^-k <= width.
+    Returning proves that q < 0 at the cell's right end, inside the disk, so
+    the one root of q there is real, simple and in the cell, and every other
+    root of q, complex ones included, has larger modulus.  A zero-width cell
+    is the root itself.
     """
-    chain = _sturm_chain(q)
-    v0 = _sign_changes(chain, 0, 1)
-    roots = v0 - _sign_changes(chain, 1, 1)
-    if roots == 0:
-        raise NoRootFound(f"({q}) has no root in (0,1]")
+    n, c, b = _rouche_disk(q)
+
+    def inside(m: int, k: int) -> bool:
+        return m**n * b < (2 * c) << (k * n)  # (m/2^k)^n < 2c/b
+
     bits = (ceil(1 / width) - 1).bit_length()  # least k with 2^-k <= width
     lo, k = 0, 0
-    while roots > 1:
-        lo, k = 2 * lo, k + 1
-        below = v0 - _sign_changes(chain, lo + 1, 1 << k)
-        if below:
-            roots = below
-        else:
-            lo += 1
-    # q > 0 on [0, lo/2^k], and q changes sign once at the simple root
-    if _scaled_eval(chain[0], lo + 1, 1 << k) == 0:
-        return Fraction(lo + 1, 1 << k), Fraction(lo + 1, 1 << k)
     while k < bits:
         lo, k = 2 * lo, k + 1
-        val = _scaled_eval(chain[0], lo + 1, 1 << k)
-        if val == 0:
-            return Fraction(lo + 1, 1 << k), Fraction(lo + 1, 1 << k)
-        if val > 0:
-            lo += 1
+        if inside(lo + 1, k):
+            val = _scaled_eval(q.coeffs, lo + 1, 1 << k)
+            if val == 0:
+                return Fraction(lo + 1, 1 << k), Fraction(lo + 1, 1 << k)
+            if val > 0:
+                lo += 1
+    if not (inside(lo + 1, k) and _scaled_eval(q.coeffs, lo + 1, 1 << k) < 0):
+        raise NoRootFound(f"({q}) has no simple root of least modulus in (0,1]")
     return Fraction(lo, 1 << k), Fraction(lo + 1, 1 << k)
 
 

@@ -216,8 +216,8 @@ def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
     Each reduction step scales by |lc(b)|, never by a negative lead, so the
     result is a positive multiple of the remainder over Q and keeps its
-    signs: the Sturm chain in ``asymptotics`` depends on that, and a gcd
-    (defined up to sign) does not mind it.
+    signs: a Sturm chain built from it counts roots correctly (the tests'
+    reference count does), and a gcd (defined up to sign) does not mind it.
     """
     r = a[:]
     db = len(b) - 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pqcensus import INFINITY, Schlafli
 from pqcensus.genfunc import derive
 from pqcensus.oracle import CensusReport, PlanarMap, _type_of
-from pqcensus.polyarith import RationalGF, gf_normalize
+from pqcensus.polyarith import RationalGF, gf_normalize, primitive, pseudo_rem
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
 
@@ -229,3 +229,32 @@ def ratio_probe(rec: LinRec, n: int) -> float:
         raise ValueError("n must be >= 2")
     v = rec_eval(rec, n)
     return float(Fraction(v[n], v[n - 1]))
+
+
+def sturm_chain(cs) -> list[list[int]]:
+    """Sturm chain of the polynomial with coefficients cs: cs, its
+    derivative, then negated primitive pseudo-remainders.
+
+    Every member is a positive multiple of the classical Sturm polynomial,
+    so sign counts are unchanged.  The chain must end in a nonzero constant,
+    i.e. every root is simple.
+    """
+    chain = [list(cs)]
+    nxt = primitive([i * c for i, c in enumerate(cs)][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in primitive(pseudo_rem(chain[-2], chain[-1]))]
+    assert len(chain[-1]) == 1, "not squarefree: shares a factor with its derivative"
+    return chain
+
+
+def sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros skipped.
+
+    By Sturm's theorem the distinct roots in (x, y] number
+    ``sign_changes(chain, x) - sign_changes(chain, y)``.
+    """
+    a, b = x.numerator, x.denominator
+    values = (sum(c * a**i * b ** (len(cs) - 1 - i) for i, c in enumerate(cs)) for cs in chain)
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))

@@ -6,15 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import admissible_symbols, ratio_probe
+from conftest import admissible_symbols, ratio_probe, sign_changes, sturm_chain
 from pqcensus.asymptotics import (
     EUCLIDEAN,
     HYPERBOLIC,
     TREE,
     NoRootFound,
     _certify_smallest_root,
-    _sign_changes,
-    _sturm_chain,
+    _rouche_disk,
     growth,
     palindrome_check,
 )
@@ -24,6 +23,9 @@ from pqcensus.recurrence import rec_eval, rec_from_gf
 
 HYPERBOLIC_GRID = [
     s for s in admissible_symbols(range(3, 13), range(3, 13)) if s.hyperbolic()
+]
+WIDE_HYPERBOLIC_GRID = [
+    s for s in admissible_symbols(range(3, 41), range(3, 41)) if s.hyperbolic()
 ]
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 CELL = Fraction(1, 2**40)
@@ -75,7 +77,7 @@ class TestGrowth:
         with pytest.raises(NoRootFound):
             growth(gf, Schlafli(4, 5))
         with pytest.raises(NoRootFound):
-            growth_of_den()  # constant denominator, empty Sturm tail
+            growth_of_den()  # constant denominator: no sign change anywhere
 
     def test_two_roots_closer_than_the_old_scan_grid(self):
         # 1/10001 and 1/10000 share one 1/4096 cell, so a sign-change scan
@@ -90,8 +92,14 @@ class TestGrowth:
         assert hi - lo <= Fraction(1, 10**12)
 
     def test_repeated_root_rejected(self):
-        with pytest.raises(NoRootFound, match="not squarefree"):
+        with pytest.raises(NoRootFound, match="Graeffe steps"):
             growth_of_den([1, -3], [1, -3])
+
+    def test_complex_pair_nearer_than_positive_root_rejected(self):
+        # 1 + 2z - 16z^3 = (1 - 2z)(1 + 4z + 8z^2): 1/2 is its only positive
+        # root, but -1/4 +- i/4 have modulus 0.354, so 1/2 is not dominant
+        with pytest.raises(NoRootFound):
+            growth_of_den([1, 2, 0, -16])
 
 
 def test_recorded_roots_on_the_dyadic_grid():
@@ -111,18 +119,38 @@ def test_recorded_roots_on_the_dyadic_grid():
 
 @given(
     st.lists(st.integers(2, 50), min_size=1, max_size=4, unique=True),
-    st.lists(st.integers(1, 50), max_size=2, unique=True),
+    st.lists(st.integers(1, 100), max_size=2, unique=True),
     st.booleans(),
 )
 def test_isolates_smallest_of_product_roots(rates, negative_roots, complex_pair):
-    # distinct factors, so den is squarefree; only the 1 - a z vanish in (0,1]
+    # distinct factors, so den is squarefree; only the 1 - a z vanish in (0,1],
+    # and 1/max(rates) is of least modulus exactly when every negative root
+    # -1/b lies farther out (the roots of 1 + z + z^2 lie on |z| = 1)
     factors = [[1, -a] for a in rates] + [[1, b] for b in negative_roots]
     den = IntPoly([1, 1, 1]) if complex_pair else IntPoly([1])
     for f in factors:
         den = den * IntPoly(f)
-    lo, hi = _certify_smallest_root(den)
-    assert lo <= Fraction(1, max(rates)) <= hi
-    assert hi - lo <= Fraction(1, 10**12)
+    if all(b < max(rates) for b in negative_roots):
+        lo, hi = _certify_smallest_root(den)
+        assert lo <= Fraction(1, max(rates)) <= hi
+        assert hi - lo <= Fraction(1, 10**12)
+    else:
+        with pytest.raises(NoRootFound):
+            _certify_smallest_root(den)
+
+
+# 2^-40 cells and Rouché exponents N = 2^k of two large symbols; the cells
+# were recorded from the Sturm-chain certifier that preceded the Rouché one
+LARGE_P_CELLS = {(2001, 3): (549755813888, 2), (1999, 2048): (537133184, 1)}
+
+
+@pytest.mark.parametrize("pq", sorted(LARGE_P_CELLS), ids=str)
+def test_large_p_cells(pq):
+    s = Schlafli(*pq)
+    den = derive(s).v.den
+    m, n = LARGE_P_CELLS[pq]
+    assert _certify_smallest_root(den) == (m * CELL, (m + 1) * CELL)
+    assert _rouche_disk(den)[0] == n
 
 
 @pytest.mark.parametrize("s", HYPERBOLIC_GRID, ids=str)
@@ -181,17 +209,25 @@ class TestPalindrome:
 
 class TestCensusDenominatorRoot:
     def test_one_irrational_root_in_unit_interval(self):
-        # every census Q has one root in (0,1] by its Sturm count, none at 1,
-        # and a leading coefficient of +-1, so (with Q(0) = 1) no rational
-        # root in (0,1); the certifier's multi-root bisection and exact-root
-        # returns thus run only for the products of TestGrowth and
-        # test_isolates_smallest_of_product_roots, never for a census
-        for s in HYPERBOLIC_GRID:
+        # every census Q has one root in (0,1] by the reference Sturm count,
+        # none at 1, and a leading coefficient of +-1, so (with Q(0) = 1) no
+        # rational root in (0,1); the certifier's exact-root return thus runs
+        # only for the products of TestGrowth and
+        # test_isolates_smallest_of_product_roots, never for a census.  The
+        # certified cell holds that root, and Rouché's test on (1 - z)Q needs
+        # at most 3 Graeffe steps
+        assert len(WIDE_HYPERBOLIC_GRID) == 1436
+        for s in WIDE_HYPERBOLIC_GRID:
             q = derive(s).v.den
-            chain = _sturm_chain(q)
-            assert _sign_changes(chain, 0, 1) - _sign_changes(chain, 1, 1) == 1, s
+            chain = sturm_chain(q.coeffs)
+            v0 = sign_changes(chain, Fraction(0))
+            assert v0 - sign_changes(chain, Fraction(1)) == 1, s
             assert abs(q.coeffs[-1]) == 1 and q[0] == 1, s
             assert q(1) != 0, s
+            lo, hi = _certify_smallest_root(q)
+            assert sign_changes(chain, lo) == v0, s
+            assert q(lo) > 0 > q(hi), s
+            assert _rouche_disk(q)[0] <= 8, s
 
 
 class TestRatioProbe:
