@@ -4,11 +4,11 @@ For a hyperbolic symbol the denominator Q has a simple root z0 in (0,1)
 that is dominant: every other root of Q, complex ones included, has larger
 modulus.  The census then grows like v(n) ~ A * z0^(-n) with amplitude
 A = -P(z0) / (z0 Q'(z0)).  Both facts are certified in exact integers.
-Rouché's theorem, applied to a Graeffe iterate of the sparse polynomial
-(1 - z) Q, gives a disk about 0 that holds at most one root of Q, and Q
-changes sign inside it.  Bisection at dyadic points m/2^k, with Q evaluated
-as the integer 2^(k deg Q) Q(m/2^k), encloses z0 in a dyadic cell of width
-2^-40 (<= 1e-12).  We return a binary64 value together with that cell.
+Rouché's theorem, applied to a Graeffe iterate of (1 - z) Q, gives a disk
+about 0 that holds at most one root of Q, and Q changes sign inside it.
+Bisection at dyadic points m/2^k, with Q evaluated as the integer
+2^(k deg Q) Q(m/2^k), encloses z0 in a dyadic cell of width 2^-40
+(<= 1e-12).  We return a binary64 value together with that cell.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported
@@ -96,14 +96,16 @@ def _rouche_disk(q: IntPoly) -> tuple[int, int, int]:
     """(N, c, b) with N a power of 2 such that q has at most one root,
     counted with multiplicity, in the disk |z|^N < 2c/b.
 
-    M = (1 - z) q is a multiple of q, and for a census it is the sparse
-    common denominator that ``genfunc`` builds.  Its k-th Graeffe iterate
-    M_k, with M_{k+1}(z^2) = M_k(z) M_k(-z), has the N-th powers of the roots
-    of M as roots, N = 2^k.  Write M_k(w) = m0 + m1 w + g(w), g of order 2,
-    with c = |m0| and b = |m1|.  When sum |g_i| (2c/b)^i < c, then on
-    |w| = 2c/b we have |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem
-    M_k has exactly one root in that disk.  Each step squares the roots,
-    which pulls the smallest one away from the rest.
+    M = (1 - z) q is a multiple of q, which is all the proof needs.  For a
+    census it has at most 6 terms, except for p = 2 (mod 4), where ``derive``
+    cancels 1 - z^2 from the common denominator and M has p/2 + 1 terms.  Its
+    k-th Graeffe iterate M_k, with M_{k+1}(z^2) = M_k(z) M_k(-z), has the
+    N-th powers of the roots of M as roots, N = 2^k.  Write M_k(w) =
+    m0 + m1 w + g(w), g of order 2, with c = |m0| and b = |m1|.  When
+    sum |g_i| (2c/b)^i < c, then on |w| = 2c/b we have
+    |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem M_k has exactly
+    one root in that disk.  Each step squares the roots, which pulls the
+    smallest one away from the rest.
     """
     cs = q.coeffs
     m = {i: d for i, d in enumerate(u - v for u, v in zip(cs + (0,), (0,) + cs)) if d}

@@ -38,9 +38,9 @@ CASE_TRIANGLE = "TRIANGLE"
 CASE_ODD = "ODD"
 
 # the derivations build dense polynomials of degree about p, and the growth
-# analysis evaluates them at 40 bisection points (``asym 2001 3``: about 1.3 s
-# on 2 vCPUs, half of it in ``derive``); z0 is about 1/q, certified to an
-# absolute 2^-40 cell, so q is bounded as well
+# analysis evaluates them at 40 bisection points (``asym 2001 3``: about 0.6 s
+# on 2 vCPUs, most of it in those evaluations and 0.03 s in ``derive``); z0 is
+# about 1/q, certified to an absolute 2^-40 cell, so q is bounded as well
 MAX_DEGREE = 2048
 
 # vertices the oracle may build for one ``verify``, by default and at most

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -153,6 +154,44 @@ def test_large_p_cells(pq):
     assert _rouche_disk(den)[0] == n
 
 
+# sha256 of str() of the v, a, b and c generating functions of four large
+# symbols, recorded before long division skipped zero taps and scaled the
+# dividend once; {2046,3} is the case whose (1 - z)Q is dense
+LARGE_P_GF_DIGESTS = {
+    (2001, 3): (
+        "c4adc24655fd7f58f8d9d94b84cb4e777ad6e0e7513f4b2388451a4060196732",
+        "16dc5ee05ae13051bbdf7136f520c3809e3d5409cef9368dda83fbde9240d746",
+        "d5c9356fb3d537d7ba3cdf1d0ac8b392e8af2a00c4af19e5d105e50f0c6971d3",
+        "b7f4a536269fbdc4b638ae8d2e3ad9bc763e1d3734956224a11f6dc2b68ecee8",
+    ),
+    (2047, 7): (
+        "d9c36fab5ff8b596941e5d6553d2a0b41a45c667d19a99dac9adf8f0a17a29e4",
+        "98458f8c6d6937193b4b1d91a0fcc77ec75e14b233cc2d98bfab49b70ebcbda2",
+        "4ed6f8740862bcec9d924795eead7dbf3c003f8b2e21801dfbca24f92b03067a",
+        "7e22b7ea1b786281f6606bf582f742993a559038ac583b691413348b81460f80",
+    ),
+    (1999, 2048): (
+        "8832fb9a1dac8d3c51642d49b9284c561bfe5d0c696294b72015624c99d7af07",
+        "dc703d222db33dc5229efe8b9a5e769c976f1db0a3ae4e2efe5c3e517a0f145a",
+        "181c65f24625add8b91d2c55fbc674c262965efa68834cbfd092a00f34021ebe",
+        "8c2cc8beb7f43ef847d4ef56ceccff7e04707fd81f7d8aa738dbe9e384e1c8c9",
+    ),
+    (2046, 3): (
+        "7a5f1ce3a65e838df6c265e43f42f170acabb23e495aeae308c5bd15770249e1",
+        "397c9026d9fe35721cf8c79d6d69e87e0d6a7531ee8d741d638c7cd2f8f0c2ce",
+        "6c0f53dbb58e60c9c4887accfa5b0a5eb80732537f4c783d7be3cda031e29919",
+        "6f2f62da2733f637308ee5e9bf02187f89cf12283e5685320696ce5734e50106",
+    ),
+}
+
+
+@pytest.mark.parametrize("pq", sorted(LARGE_P_GF_DIGESTS), ids=str)
+def test_large_p_generating_functions(pq):
+    cgf = derive(Schlafli(*pq))
+    digests = tuple(hashlib.sha256(str(gf).encode()).hexdigest() for gf in (cgf.v, cgf.a, cgf.b, cgf.c))
+    assert digests == LARGE_P_GF_DIGESTS[pq]
+
+
 @pytest.mark.parametrize("s", HYPERBOLIC_GRID, ids=str)
 def test_certified_interval_brackets_sign_change(s):
     info = growth(derive(s).v, s)
@@ -215,7 +254,9 @@ class TestCensusDenominatorRoot:
         # only for the products of TestGrowth and
         # test_isolates_smallest_of_product_roots, never for a census.  The
         # certified cell holds that root, and Rouché's test on (1 - z)Q needs
-        # at most 3 Graeffe steps
+        # at most 3 Graeffe steps.  (1 - z)Q has at most 4 terms for p = 3 or
+        # p = 0 (mod 4) and 6 for odd p >= 5, but p/2 + 1 for p = 2 (mod 4),
+        # where derive cancels 1 - z^2 rather than 1 - z
         assert len(WIDE_HYPERBOLIC_GRID) == 1436
         for s in WIDE_HYPERBOLIC_GRID:
             q = derive(s).v.den
@@ -228,6 +269,11 @@ class TestCensusDenominatorRoot:
             assert sign_changes(chain, lo) == v0, s
             assert q(lo) > 0 > q(hi), s
             assert _rouche_disk(q)[0] <= 8, s
+            terms = sum(1 for c in (IntPoly([1, -1]) * q).coeffs if c)
+            if s.p == 3 or s.p % 4 == 0:
+                assert terms <= 4, s
+            else:
+                assert terms == (s.p // 2 + 1 if s.p % 4 == 2 else 6), s
 
 
 class TestRatioProbe:

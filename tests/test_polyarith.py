@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,8 +64,6 @@ class TestIntPoly:
         assert P(1, 1) * P(1, 0, -1) == P(1, 1, -1, -1)
 
     def test_evaluate(self):
-        from fractions import Fraction
-
         q = P(1, -3, 1)
         assert q(0) == 1
         assert q(1) == -1
@@ -112,6 +111,9 @@ class TestDivExact:
     def test_remainder_raises(self):
         with pytest.raises(NotDivisible):
             poly_div_exact(P(1, 1), P(1, -1))
+        # the quotient term z/2 is not an integer, though the remainder is 0
+        with pytest.raises(NotDivisible, match=r"\(1 \+ z\) is not divisible by \(2\)"):
+            poly_div_exact(P(1, 1), P(2))
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
@@ -217,6 +219,28 @@ def unit_constant(poly: IntPoly) -> IntPoly:
 @given(a=small_polys, b=nonzero_polys)
 def test_mul_div_roundtrip(a, b):
     assert poly_div_exact(a * b, b) == a
+
+
+def fraction_rem(a: list[int], b: list[int]) -> list[Fraction]:
+    """a mod b over Q, by long division in Fractions."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
+        t = r[-1] / b[-1]
+        k = len(r) - len(b)
+        for j, c in enumerate(b):
+            r[k + j] -= t * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+@given(a=small_polys, b=nonzero_polys)
+@example(a=P(1, 0, 0, 1), b=P(1, 0, 2))  # 4(1 + z^3) = 2z(1 + 2z^2) + 4 - 2z: [4, -2]
+def test_pseudo_rem_is_scaled_remainder_over_q(a, b):
+    a, b = list(a.coeffs), list(b.coeffs)
+    e = max(len(a) - len(b) + 1, 0)
+    assert pseudo_rem(a, b) == [abs(b[-1]) ** e * c for c in fraction_rem(a, b)]
 
 
 @given(a=small_polys, b=small_polys)
