@@ -19,9 +19,11 @@ below 3, or p or q above 2048), 3 verification mismatch, 4 structure violation.
 A usage error ends in a one-line message on stderr, after the usage text
 when argparse finds it (unknown subcommand, unrecognized arguments, an
 integer argument that is not one: ``n must be an integer, got 'x'``).  n or
-``--depth`` below 0, ``--budget`` below 1 or above 10^7, an empty or
-unwritable ``--dump-map`` path and integers past the interpreter's int digit
-limit (given by length, not digits) need no usage text.  An
+``--depth`` below 0, n above 100000, ``--budget`` below 1 or above 10^7, an
+empty or unwritable ``--dump-map`` path, integers past the interpreter's int
+digit limit (given by length, not digits) and a census whose terms pass
+150000000 bits in total (hyperbolic ones from n in the thousands, digit
+limit lifted or not) need no usage text.  An
 argument longer than 40 characters is echoed as its first 20 and its length,
 and an argparse message longer than 200 as its first 100.  Errors
 with codes 2 and 4 are emitted as records in the chosen format.
@@ -60,6 +62,13 @@ EXIT_MISMATCH = 3
 EXIT_VIOLATION = 4
 
 DEFAULT_CENSUS_N = 20
+# A census must end in a message, never out of memory.  Euclidean terms stay
+# short, so only MAX_CENSUS_N bounds them; hyperbolic terms grow linearly in
+# length, so MAX_CENSUS_BITS, their total size, bounds those first.  The
+# largest censuses accepted, `census 4 5 14697 --types` with the digit limit
+# lifted and `census 3 6 100000 --types`, peak at about 500 and 95 MB.
+MAX_CENSUS_N = 100_000
+MAX_CENSUS_BITS = 150_000_000
 
 
 def _clip(text: str, keep: int = 20) -> str:
@@ -100,7 +109,7 @@ def _parse_int(name: str, lo: int | None, text: str, hi: int | None = None):
     return value
 
 
-_parse_n = partial(_parse_int, "n", 0)
+_parse_n = partial(_parse_int, "n", 0, hi=MAX_CENSUS_N)
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -123,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="evaluate generation counts")
     common(sp)
-    sp.add_argument("n", type=_parse_n, nargs="?", help=f"largest generation (default {DEFAULT_CENSUS_N})")
+    sp.add_argument(
+        "n", type=_parse_n, nargs="?", help=f"largest generation, at most {MAX_CENSUS_N} (default {DEFAULT_CENSUS_N})"
+    )
     sp.add_argument("--types", action="store_true", help="also emit per-class counts")
 
     sp = sub.add_parser("verify", help="cross-check the series against an explicit map")
@@ -170,16 +181,22 @@ def record_genfunc(cgf: CensusGF) -> dict:
 
 
 def _census_series(cgf: CensusGF, n: int) -> list[int]:
-    """v(0..n), extended on one list in chunks that double in length until
-    one ends in a term too long to print, which ``_ints`` then refuses: an
-    unprintable census costs about its printable prefix, not all n + 1
-    terms, whose total size grows as n**2."""
+    """v(0..n), extended on one list in chunks that double in length.  The
+    terms' total size grows as n**2, so the chunks stop early: at one that
+    ends in a term too long to print, which ``_ints`` then refuses, and at
+    one that takes the total past MAX_CENSUS_BITS, a usage error.  Either
+    costs at most about four times the prefix before that chunk."""
     rec = rec_from_gf(cgf.v)
     limit = sys.get_int_max_str_digits()
     max_bits = limit * 10 // 3 + 1 if limit else float("inf")  # 10/3 > log2(10)
     out = rec_eval(rec, min(n, len(rec.initial_terms)))
-    while len(out) <= n and out[-1].bit_length() <= max_bits:
-        extend_recurrence(out, rec.rec_coeffs, min(n, 2 * len(out)))
+    total = sum(map(int.bit_length, out))
+    while total <= MAX_CENSUS_BITS and len(out) <= n and out[-1].bit_length() <= max_bits:
+        start = len(out)
+        extend_recurrence(out, rec.rec_coeffs, min(n, 2 * start))
+        total += sum(map(int.bit_length, out[start:]))
+    if total > MAX_CENSUS_BITS:
+        _usage_error(f"the terms v(0..{n}) pass {MAX_CENSUS_BITS} bits in total, the bound on a census's size")
     return out
 
 

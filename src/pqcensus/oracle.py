@@ -50,16 +50,17 @@ it (for {8,8} at depth 5, about 22 thousand of 780 thousand vertices).
 (``Schlafli.case``) from a vertex's parent/sibling/cousin profile to its class.
 
 Storage is flat: origin and next per half-edge; degree, gap half-edge and
-one outgoing half-edge per vertex; one half-edge per closed face; and no
-container object per vertex or per face.  Half-edges come in twin pairs,
-twin(h) = h ^ 1.  ``next`` runs along the incident face cycle (closed faces
-and the outer boundary both form cycles) and is the only pointer stored:
-rotation around a vertex steps from an outgoing h to next(twin(h)).  A
-vertex's gap half-edge runs into it at its open gap (on a disk the incoming
-boundary half-edge, on a tree the slot before its first half-edge) and is
--1 once the vertex is closed.  Closed faces per vertex are not stored: the
-saturation rule reads degree == q and no gap, and the glue run extends
-across boundary vertices of degree q.
+one outgoing half-edge per vertex; and no container object per vertex or
+per face.  Faces are not stored either: each closed face is a ``next``
+cycle, and Euler's formula V - E + F = 1 for a disk counts them.
+Half-edges come in twin pairs, twin(h) = h ^ 1.  ``next`` runs along the
+incident face cycle (closed faces and the outer boundary both form cycles)
+and is the only pointer stored: rotation around a vertex steps from an
+outgoing h to next(twin(h)).  A vertex's gap half-edge runs into it at its
+open gap (on a disk the incoming boundary half-edge, on a tree the slot
+before its first half-edge) and is -1 once the vertex is closed.  Closed
+faces per vertex are not stored: the saturation rule reads degree == q and
+no gap, and the glue run extends across boundary vertices of degree q.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class CensusReport(NamedTuple):
 class PlanarMap:
     """Growable half-edge map of a {p,q} disk (or of the q-regular tree).
 
-    All state lives in six flat lists indexed by half-edge or vertex id.
+    All state lives in five flat lists indexed by half-edge or vertex id.
     Only ``next`` is stored: the neighbors of a vertex are read off the
     rotation system, stepping from an outgoing half-edge h to next(twin(h)).
     """
@@ -146,7 +147,6 @@ class PlanarMap:
         self.symbol = symbol
         self._he_origin: list[int] = []
         self._he_next: list[int] = []
-        self._faces: list[int] = []  # one half-edge per closed face
         self._v_deg: list[int] = [0]
         # the half-edge into v at its open gap, -1 once v is closed: a
         # vertex is saturated when its degree is q and this is -1
@@ -165,22 +165,12 @@ class PlanarMap:
 
     @property
     def face_count(self) -> int:
-        return len(self._faces)
+        """Closed faces, by Euler's formula V - E + F = 1 for a disk: 0 for
+        a tree and for a bare origin."""
+        return self.half_edge_count // 2 - self.vertex_count + 1
 
     def degree(self, v: int) -> int:
         return self._v_deg[v]
-
-    def is_saturated(self, v: int) -> bool:
-        return self._v_deg[v] == self.symbol.q and self._v_gap[v] < 0
-
-    def twin(self, h: int) -> int:
-        return h ^ 1
-
-    def origin_of(self, h: int) -> int:
-        return self._he_origin[h]
-
-    def head_of(self, h: int) -> int:
-        return self._he_origin[h ^ 1]
 
     def rotation(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in cyclic order around it, from the embedding:
@@ -197,20 +187,6 @@ class PlanarMap:
             if h == h0:
                 return (out[0], *out[:0:-1])
         raise RuntimeError(f"rotation walk around {v} does not close")
-
-    def face_vertices(self, f: int) -> tuple[int, ...]:
-        """Vertices of closed face f in cycle order."""
-        h0 = self._faces[f]
-        out = []
-        h = h0
-        while True:
-            out.append(self._he_origin[h])
-            h = self._he_next[h]
-            if h == h0:
-                break
-            if len(out) > len(self._he_origin):
-                raise RuntimeError(f"face walk for {f} does not close")
-        return tuple(out)
 
     def distances(self) -> list[int]:
         """Graph distance from the origin for every vertex (full BFS)."""
@@ -307,7 +283,6 @@ class PlanarMap:
         if m == 0 and u0 in self.rotation(uk):
             raise RuntimeError("closing chord already present; map would lose simplicity")
         before, after = gap[u0], nxt[run[-1]]
-        self._faces.append(run[0])
         # New path uk, w_1 .. w_m, u0 with w_j = nv0 + j - 1.  Its edge i
         # joins chain[i] and chain[i + 1]: half-edge cs[i] runs forward
         # along the new face, its twin ts[i] backward along the boundary.
@@ -387,7 +362,6 @@ class PlanarMap:
                 lst[h0::2] = even
                 lst[h0 + 1 :: 2] = odd
             nxt[e], nxt[gap[u0]] = cs[0], ts[m]
-            self._faces += es
             deg += [2] * (r * m)
             deg[nv0 : nv0 + (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
             deg[v] += r

@@ -22,23 +22,63 @@ def admissible_symbols(ps, qs):
     return out
 
 
+def face_cycles(m: PlanarMap) -> list[tuple[int, ...]]:
+    """Vertices of every closed face in cycle order, found by walking the
+    ``next`` cycles themselves: every cycle but the outer one, which runs
+    through the gaps.  Asserts that every half-edge lies on exactly one
+    cycle.
+
+    Faces come in the order they were glued: a face's half-edge of largest
+    id is one that its gluing created, and the face's cycle starts at that
+    half-edge's ``next``, the first half-edge it was glued along.
+    """
+    origin, nxt = m._he_origin, m._he_next
+    gaps = {h for h in m._v_gap if h >= 0}
+    seen = [False] * m.half_edge_count
+    tops = []
+    for h0 in range(m.half_edge_count):
+        if seen[h0]:
+            continue
+        cyc = []
+        h = h0
+        while not seen[h]:
+            seen[h] = True
+            cyc.append(h)
+            h = nxt[h]
+        assert h == h0, f"half-edge {h0} lies on no next cycle"
+        if gaps.isdisjoint(cyc):
+            tops.append(max(cyc))
+    faces = []
+    for top in sorted(tops):
+        h = nxt[top]
+        cyc = [origin[h]]
+        while h != top:
+            h = nxt[h]
+            cyc.append(origin[h])
+        faces.append(tuple(cyc))
+    return faces
+
+
 def check_map_structure(m: PlanarMap):
     """Audit the half-edge structure: faces, rotations, saturation, simplicity.
 
-    Closed faces per vertex are counted by walking every face cycle, not
-    read from the map's own state: a saturated vertex lies on q faces, any
-    other vertex with edges on degree - 1 (one open gap on the boundary).
+    Faces are the map's ``next`` cycles and saturation is read straight from
+    the degree and gap lists, so closed faces per vertex are counted on the
+    cycles, not read from the map's own state: a saturated vertex lies on q
+    faces, any other vertex with edges on degree - 1 (one open gap on the
+    boundary).  The cycles must number ``face_count``, Euler's count.
     """
     p, q = m.symbol.p, m.symbol.q
     n_edges = m.half_edge_count // 2
     assert m.half_edge_count % 2 == 0
+    faces = face_cycles(m)
     faces_at = [0] * m.vertex_count
-    for f in range(m.face_count):
-        cyc = m.face_vertices(f)
+    for f, cyc in enumerate(faces):
         assert len(cyc) == p, f"face {f} has degree {len(cyc)}"
         assert len(set(cyc)) == p
         for v in cyc:
             faces_at[v] += 1
+    assert len(faces) == m.face_count, f"{len(faces)} face cycles, Euler's formula counts {m.face_count}"
     deg_sum = 0
     for v in range(m.vertex_count):
         rot = m.rotation(v)
@@ -47,18 +87,12 @@ def check_map_structure(m: PlanarMap):
         assert v not in rot, f"loop at {v}"
         assert len(set(rot)) == len(rot), f"multi-edge at {v}"
         if not m.symbol.is_tree:
-            if m.is_saturated(v):
+            if m.degree(v) == q and m._v_gap[v] < 0:
                 assert faces_at[v] == q, f"saturated vertex {v} lies on {faces_at[v]} faces"
             elif m.degree(v) > 0:
                 assert faces_at[v] == m.degree(v) - 1, f"boundary vertex {v} lies on {faces_at[v]} faces"
     assert deg_sum == 2 * n_edges
-    for h in range(m.half_edge_count):
-        assert m.twin(m.twin(h)) == h
-        assert m.origin_of(m.twin(h)) == m.head_of(h)
     check_gaps(m)
-    if not m.symbol.is_tree and m.face_count:
-        # disk Euler characteristic, counting only closed faces
-        assert m.vertex_count - n_edges + m.face_count == 1
 
 
 def check_gaps(m: PlanarMap):
@@ -70,11 +104,11 @@ def check_gaps(m: PlanarMap):
     ``next`` from any gap passes through every open vertex's gap and
     nothing else.
     """
-    q, nxt = m.symbol.q, m._he_next
+    q, origin, nxt = m.symbol.q, m._he_origin, m._he_next
     gaps = {h: v for v, h in enumerate(m._v_gap) if h >= 0}
     for h, v in gaps.items():
-        assert m.head_of(h) == v, f"gap of {v} does not run into it"
-        assert m.origin_of(nxt[h]) == v, f"gap of {v} is not followed by a half-edge out of it"
+        assert origin[h ^ 1] == v, f"gap of {v} does not run into it"
+        assert origin[nxt[h]] == v, f"gap of {v} is not followed by a half-edge out of it"
     if m.symbol.is_tree:
         for v, h in enumerate(m._v_gap):
             assert (h >= 0) == (0 < m.degree(v) < q), f"vertex {v} with {m.degree(v)} edges has gap {h}"
@@ -90,13 +124,12 @@ def check_gaps(m: PlanarMap):
         assert h == h0 and cycle == gaps.keys(), "outer cycle misses a gap"
 
 
-def _face_extremes(m: PlanarMap, f: int, dist):
-    cyc = m.face_vertices(f)
+def _face_extremes(cyc, dist):
     gens = [dist[v] for v in cyc]
     lo, hi = min(gens), max(gens)
     lo_pos = [i for i, g in enumerate(gens) if g == lo]
     hi_pos = [i for i, g in enumerate(gens) if g == hi]
-    return cyc, gens, lo, hi, lo_pos, hi_pos
+    return gens, lo, hi, lo_pos, hi_pos
 
 
 def _adjacent_on_face(positions, size):
@@ -113,8 +146,8 @@ def face_extremes_audit(m: PlanarMap, trusted: int, dist: list[int]):
     p = m.symbol.p
     span = p // 2 if p % 2 == 0 else (p - 1) // 2
     checked = 0
-    for f in range(m.face_count):
-        cyc, gens, lo, hi, lo_pos, hi_pos = _face_extremes(m, f, dist)
+    for f, cyc in enumerate(face_cycles(m)):
+        gens, lo, hi, lo_pos, hi_pos = _face_extremes(cyc, dist)
         if hi > trusted + 1:
             continue
         checked += 1
@@ -138,8 +171,8 @@ def latest_vertex_face_audit(m: PlanarMap, trusted: int, types: dict[int, str], 
     p = m.symbol.p
     r = p // 2
     hits: dict[int, int] = {}
-    for f in range(m.face_count):
-        cyc, gens, lo, hi, lo_pos, hi_pos = _face_extremes(m, f, dist)
+    for cyc in face_cycles(m):
+        gens, lo, hi, lo_pos, hi_pos = _face_extremes(cyc, dist)
         if len(hi_pos) != 1:
             continue
         v = cyc[hi_pos[0]]
@@ -159,10 +192,10 @@ def reference_census(m: PlanarMap) -> CensusReport:
     of the map is scanned.  ``bfs_census`` + ``classify`` stop their BFS at
     that horizon and must agree with this exactly.
     """
-    dist = m.distances()
+    q, dist = m.symbol.q, m.distances()
     t = None
     for v, d in enumerate(dist):
-        if not m.is_saturated(v) and (t is None or d < t):
+        if (m._v_deg[v] < q or m._v_gap[v] >= 0) and (t is None or d < t):
             t = d
     trusted = max(dist) if t is None else max(0, t - 1)
     counts = {k: [0] * (trusted + 1) for k in "vABC"}

@@ -164,6 +164,51 @@ class TestCensus:
         last = rec_eval(rec_from_gf(derive(Schlafli(4, 5)).v), 12000)[-1]
         assert json.loads(out)["series"][-1] == str(last)
 
+    def test_census_size_bound(self, capsys, digit_limit, monkeypatch):
+        # with the digit limit lifted the terms' total size still bounds a
+        # census: v(0..n) prints exactly while it fits, and a longer census
+        # is cut within the chunk that passes the bound
+        series = rec_eval(rec_from_gf(derive(Schlafli(4, 5)).v), 301)
+        bound = sum(x.bit_length() for x in series[:301])
+        monkeypatch.setattr(cli, "MAX_CENSUS_BITS", bound)
+        built = []
+        extend = cli.extend_recurrence
+
+        def counted(out, *args):
+            extend(out, *args)
+            built.append(len(out))
+
+        monkeypatch.setattr(cli, "extend_recurrence", counted)
+        digit_limit(0)
+        code, out = run(capsys, "census", "4", "5", "300")
+        assert code == 0
+        assert json.loads(out)["series"] == [str(x) for x in series[:301]]
+        for n in (301, 100_000):
+            built.clear()
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["census", "4", "5", str(n)])
+            assert exc.value.code == 1
+            assert capsys.readouterr() == (
+                "",
+                f"pqcensus: error: the terms v(0..{n}) pass {bound} bits in total, the bound on a census's size\n",
+            )
+            assert max(built) <= 2 * 301
+
+    def test_census_past_size_bound(self, capsys, digit_limit):
+        # v(0..14697) of {4,5} is the longest census that fits 150,000,000
+        # bits; one term more is refused, although every term is printable
+        digit_limit(0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "4", "5", "14698"])
+        assert exc.value.code == 1
+        assert "pass 150000000 bits in total" in capsys.readouterr().err
+
+    def test_longest_euclidean_census(self, capsys):
+        # Euclidean terms stay short, so only the bound on n stops them
+        code, out = run(capsys, "census", "3", "6", str(cli.MAX_CENSUS_N))
+        assert code == 0
+        assert json.loads(out)["series"][-1] == str(6 * cli.MAX_CENSUS_N)
+
     def test_round_trip_expansion(self, capsys):
         # re-expanding the emitted gf must reproduce the emitted series
         _, out = run(capsys, "census", "4", "7", "12")
@@ -410,6 +455,10 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: unrecognized arguments: {extra}" in captured.err
+
+    @pytest.mark.parametrize("tail", [["100001"], ["--types", "100001"]], ids=["n", "n-after-options"])
+    def test_census_length_bound(self, capsys, tail):
+        assert "n must be <= 100000, got 100001" in self.exit_one(capsys, ["census", "3", "6", *tail])
 
     def test_negative_depth(self, capsys):
         assert "--depth must be >= 0, got -1" in self.exit_one(capsys, ["verify", "4", "5", "--depth", "-1"])

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     admissible_symbols,
     check_map_structure,
+    face_cycles,
     face_extremes_audit,
     latest_vertex_face_audit,
     reference_census,
@@ -109,7 +110,7 @@ class TestBuildMap:
         ring1 = [v for v in range(m.vertex_count) if dist[v] == 1]
         assert len(ring1) == 7
         for v in ring1:
-            assert m.is_saturated(v)
+            assert m.degree(v) == 7 and m._v_gap[v] < 0
             assert vertex_profile(m, v, dist) == VertexProfile(1, 4, 2, 0)
 
     def test_pentagonal_census_matches_series(self):
@@ -152,9 +153,9 @@ class TestBuildMap:
         m = build_map(Schlafli(8, 8), 5, vertex_budget=None)
         assert (m.vertex_count, m.face_count) == (779_793, 133_680)
 
-    # Vertex ids, rotation order and face order are part of the output
-    # (dumps, perfbench references), so however the builder glues faces it
-    # must make exactly these maps.  The trees pin the rotation order of
+    # Vertex ids and rotation order are part of the output (dumps,
+    # perfbench references), so however the builder glues faces it must
+    # make exactly these maps.  The trees pin the rotation order of
     # leaves, one built in full and one cut by a budget.
     @pytest.mark.parametrize(
         "pq,depth,budget,digest",
@@ -190,7 +191,7 @@ class TestBuildMap:
         # map but for where each rotation starts, which the dumps pin.
         m = build_or_partial(pq, depth)
         assert (m.vertex_count, m.face_count) == size
-        faces = repr(list(map(m.face_vertices, range(m.face_count))))
+        faces = repr(face_cycles(m))
         assert hashlib.sha256(faces.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("pq", [(3, 7), (4, 5), (7, 3), (8, 8)], ids=str)
@@ -202,7 +203,7 @@ class TestBuildMap:
             build_map(Schlafli(*pq), 0, vertex_budget=p)
         m = exc.value.partial_map
         assert (m.vertex_count, m.half_edge_count, m.face_count) == (p, 2 * p, 1)
-        assert m.face_vertices(0) == tuple(range(p))
+        assert face_cycles(m) == [tuple(range(p))]
         assert m.rotation(0) == (1, p - 1)
         check_map_structure(m)
 
@@ -220,14 +221,14 @@ class TestBuildMap:
         u0 = 2
         while True:
             full = m.degree(u0) == s.q
-            w = m.head_of(m._he_next[m._v_gap[u0]])
+            w = m._he_origin[m._he_next[m._v_gap[u0]] ^ 1]
             assert m.degree(w) < s.q
             m._saturate([w], None)
             check_map_structure(m)
             assert max(map(m.degree, range(m.vertex_count))) == s.q
             if full:
                 break
-        assert m.is_saturated(u0)
+        assert m.degree(u0) == s.q and m._v_gap[u0] < 0
 
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
@@ -247,14 +248,15 @@ class TestBuildMap:
 
 
 class TestStructureAudit:
-    """``check_map_structure`` counts faces on the face cycles themselves,
-    so it rejects a map whose stored state disagrees with them."""
+    """``check_map_structure`` finds the faces by walking the ``next``
+    cycles themselves, so it rejects a map whose stored state disagrees
+    with them."""
 
     def test_claimed_saturation(self):
         m = build_map(Schlafli(6, 4), 2)
         check_map_structure(m)
         # a boundary vertex with q edges still has one open gap
-        v = next(v for v in range(m.vertex_count) if m.degree(v) == 4 and not m.is_saturated(v))
+        v = next(v for v in range(m.vertex_count) if m.degree(v) == 4 and m._v_gap[v] >= 0)
         m._v_gap[v] = -1
         with pytest.raises(AssertionError, match=f"saturated vertex {v} lies on 3 faces"):
             check_map_structure(m)
@@ -262,9 +264,11 @@ class TestStructureAudit:
     def test_redirected_face_cycle(self):
         m = build_map(Schlafli(4, 5), 2)
         check_map_structure(m)
-        h = m._faces[0]
-        m._he_next[h] = m._he_next[m._he_next[h]]
-        with pytest.raises(AssertionError, match="face 0 has degree 3"):
+        # the first face is glued along the seed half-edge 0 -> 1; skipping
+        # the half-edge after it leaves that one on no cycle
+        skipped = m._he_next[0]
+        m._he_next[0] = m._he_next[skipped]
+        with pytest.raises(AssertionError, match=f"half-edge {skipped} lies on no next cycle"):
             check_map_structure(m)
 
 
@@ -400,7 +404,7 @@ def test_rotation_covers_edge_list(pq, sample_maps):
     m = sample_maps[pq][0]
     ends = {v: [] for v in range(m.vertex_count)}
     for h in range(m.half_edge_count):
-        ends[m.origin_of(h)].append(m.head_of(h))
+        ends[m._he_origin[h]].append(m._he_origin[h ^ 1])
     for v, ws in ends.items():
         assert sorted(m.rotation(v)) == sorted(ws), v
 
@@ -520,17 +524,18 @@ class TestBoundedCensus:
     def test_budget_cut_is_a_prefix(self, pq, depth, step):
         # a budget stops the build at the first face that would overrun it,
         # which needs at most p - 2 new vertices: the partial map is the
-        # unbudgeted map's first half-edges and faces.  Both lists are
-        # append-only, and a closed face's cycle never changes.
+        # unbudgeted map's first half-edges and faces.  The half-edge lists
+        # are append-only, and a closed face's cycle never changes.
         s = Schlafli(*pq)
         full = build_map(s, depth, vertex_budget=None)
+        full_faces = face_cycles(full)
         for budget in range(s.p, full.vertex_count, step):
             with pytest.raises(BudgetExceeded) as exc:
                 build_map(s, depth, vertex_budget=budget)
             m = exc.value.partial_map
             assert budget - (s.p - 2) < m.vertex_count <= budget
             assert m._he_origin == full._he_origin[: m.half_edge_count]
-            assert m._faces == full._faces[: m.face_count]
+            assert face_cycles(m) == full_faces[: m.face_count]
 
     @pytest.mark.parametrize("q,depth", [(3, 0), (3, 4), (4, 2), (5, 3)], ids=str)
     def test_trees(self, q, depth):
