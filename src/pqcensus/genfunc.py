@@ -44,9 +44,9 @@ CASE_ODD = "ODD"
 MAX_DEGREE = 2048
 
 # vertices the oracle may build for one ``verify``, by default and at most
-# (about 2 GB at the ~200 bytes a vertex of a {8,8} build); they live here,
-# beside the other bound, so that the CLI's parser reads them without
-# importing the oracle
+# (a {8,8} build peaks at about 45 bytes a vertex, so about 460 MB at the
+# cap); they live here, beside the other bound, so that the CLI's parser
+# reads them without importing the oracle
 DEFAULT_VERTEX_BUDGET = 200_000
 MAX_VERTEX_BUDGET = 10_000_000
 

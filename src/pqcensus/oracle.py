@@ -28,9 +28,12 @@ of degree 2, is the tail of v's new boundary edge, so the same holds for
 the next face, until v has q edges and takes its closing face.  v is
 therefore forced to take a row of q - d single-edge faces, and since each
 face numbers its new vertices and half-edges in one fixed order from the
-next free ids, the whole row is one arithmetic pattern.  ``_attach_fan``
-writes it as one block: the same ids in the same order as face by face,
-with the budget checked before each face as the face step does.
+next free ids, the whole row is one arithmetic pattern.  v's next face
+closes it, glued along the row's last edge and the boundary edge out of
+v; unless that run goes on across a neighbor with q edges, it too is
+fixed.  ``_attach_fan`` writes the row and that face as one block: the
+same ids in the same order as face by face, with the budget checked
+before each face as the face step does.
 
 The q-regular tree {inf,q} grows by the same rounds with a simpler step:
 a vertex missing edges gets one pendant edge to a new leaf at a time, until
@@ -49,9 +52,15 @@ it (for {8,8} at depth 5, about 22 thousand of 780 thousand vertices).
 ``distances``.  The classifier is one table per derivation case
 (``Schlafli.case``) from a vertex's parent/sibling/cousin profile to its class.
 
-Storage is flat: origin and next per half-edge; degree, gap half-edge and
-one outgoing half-edge per vertex; and no container object per vertex or
-per face.  Faces are not stored either: each closed face is a ``next``
+Storage is flat: five ``array('i')`` columns, origin and next per
+half-edge, degree, gap half-edge and one outgoing half-edge per vertex,
+and no Python object per vertex, per half-edge or per face.  A {8,8} map
+has about 2.5 half-edges a vertex, so the columns hold about 32 bytes a
+vertex.  Each attach step appends its new slots to each column in one
+call: a ``fromlist`` of a Python list built for the step, or a leaf's
+single ``append``.  Ids are C ints, so a map holds at most 2^31 - 1
+half-edges, about 9 x 10^8 vertices, far past the 10^7 cap on the vertex
+budget.  Faces are not stored either: each closed face is a ``next``
 cycle, and Euler's formula V - E + F = 1 for a disk counts them.
 Half-edges come in twin pairs, twin(h) = h ^ 1.  ``next`` runs along the
 incident face cycle (closed faces and the outer boundary both form cycles)
@@ -65,6 +74,7 @@ no gap, and the glue run extends across boundary vertices of degree q.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -138,20 +148,21 @@ class CensusReport(NamedTuple):
 class PlanarMap:
     """Growable half-edge map of a {p,q} disk (or of the q-regular tree).
 
-    All state lives in five flat lists indexed by half-edge or vertex id.
-    Only ``next`` is stored: the neighbors of a vertex are read off the
-    rotation system, stepping from an outgoing half-edge h to next(twin(h)).
+    All state lives in five ``array('i')`` columns indexed by half-edge or
+    vertex id, 4 bytes a slot.  Only ``next`` is stored: the neighbors of a
+    vertex are read off the rotation system, stepping from an outgoing
+    half-edge h to next(twin(h)).
     """
 
     def __init__(self, symbol: Schlafli):
         self.symbol = symbol
-        self._he_origin: list[int] = []
-        self._he_next: list[int] = []
-        self._v_deg: list[int] = [0]
+        self._he_origin = array("i")
+        self._he_next = array("i")
+        self._v_deg = array("i", [0])
         # the half-edge into v at its open gap, -1 once v is closed: a
         # vertex is saturated when its degree is q and this is -1
-        self._v_gap: list[int] = [-1]
-        self._v_half: list[int] = [-1]  # any outgoing half-edge
+        self._v_gap = array("i", [-1])
+        self._v_half = array("i", [-1])  # any outgoing half-edge
 
     # -- read-only surface ------------------------------------------------
 
@@ -223,11 +234,12 @@ class PlanarMap:
                 # outgoing half-edge
                 h0 = h = half[v]
                 while True:
-                    w = origin[h ^ 1]
+                    t = h ^ 1
+                    w = origin[t]
                     if dist[w] < 0:
                         dist[w] = d
                         grown.append(w)
-                    h = nxt[h ^ 1]
+                    h = nxt[t]
                     if h == h0:
                         break
             if not grown:
@@ -286,21 +298,16 @@ class PlanarMap:
         # New path uk, w_1 .. w_m, u0 with w_j = nv0 + j - 1.  Its edge i
         # joins chain[i] and chain[i + 1]: half-edge cs[i] runs forward
         # along the new face, its twin ts[i] backward along the boundary.
-        # Every new id is created once here and shared by all lists below.
+        # Each column gets its new slots as one list, in one ``fromlist``.
         chain = [uk, *range(nv0, nv0 + m), u0]
         h0 = len(origin)
-        he = list(range(h0, h0 + 2 * (m + 1)))
-        cs, ts = he[0::2], he[1::2]
-        origin += he  # reserve the slots, then fill even and odd ids
-        origin[h0::2] = chain[:-1]
-        origin[h0 + 1::2] = chain[1:]
+        cs, ts = list(range(h0, h0 + 2 * m + 2, 2)), list(range(h0 + 1, h0 + 2 * m + 2, 2))
+        _append_pairs(origin, chain[:-1], chain[1:])
         # face cycle run..., cs...; boundary before, ts[-1] .. ts[0], after
-        nxt += he
-        nxt[h0::2] = cs[1:] + run[:1]
-        nxt[h0 + 1::2] = [after] + ts[:-1]
+        _append_pairs(nxt, cs[1:] + run[:1], [after] + ts[:-1])
         nxt[run[-1]] = cs[0]
         nxt[before] = ts[-1]
-        deg += [2] * m
+        deg.fromlist([2] * m)
         deg[uk] += 1
         deg[u0] += 1
         for w in verts[1:-1]:
@@ -309,13 +316,14 @@ class PlanarMap:
             gap[w] = -1
         # u0 keeps its gap; ts[i] runs into chain[i]
         gap[uk] = ts[0]
-        gap += ts[1:]
-        self._v_half += ts[:m]
+        gap.fromlist(ts[1:])
+        self._v_half.fromlist(ts[:m])
 
     def _attach_fan(self, v: int, budget: int | None):
         """Glue the row of single-edge faces that boundary vertex v is forced
-        to take, as one block: the same ids in the same slots as q - deg(v)
-        calls of ``_attach_face``, and a budget cut keeps the same faces.
+        to take, and mostly the face that then closes v, as one block: the
+        same ids in the same slots as the calls of ``_attach_face`` that
+        glue them, and a budget cut keeps the same faces.
 
         The caller has checked that v and the tail u0 of the boundary edge
         e into v both have fewer than q edges.  Face j is glued along e_j
@@ -337,13 +345,12 @@ class PlanarMap:
         if budget is not None:
             r = min(r, (budget - nv0) // m)
         if r > 0:
-            # As in _attach_face, every new id is created once and shared.
-            # Each list starts from the one-face pattern shifted by one slot
-            # (the slot shifted in is overwritten), then one strided slice
-            # per exception sets what differs from it.
+            # As in _attach_face, each column gets one list in one
+            # ``fromlist``.  Each list starts from the one-face pattern
+            # shifted by one slot (the slot shifted in is overwritten), then
+            # one strided slice per exception sets what differs from it.
             h0 = len(origin)
-            he = list(range(h0, h0 + 2 * r * M))
-            cs, ts = he[0::2], he[1::2]
+            cs, ts = list(range(h0, h0 + 2 * r * M, 2)), list(range(h0 + 1, h0 + 2 * r * M, 2))
             es = [e, *ts[0 : (r - 1) * M : M]]  # e_j
             # origin: chain_j[i] along cs, chain_j[i + 1] along ts
             ocs = list(chain.from_iterable(zip(repeat(v, r), *[iter(range(nv0, nv0 + r * m))] * m)))
@@ -357,22 +364,53 @@ class PlanarMap:
             nts = [h_out] + ts[:-1]
             nts[0::M] = [*cs[M::M], h_out]
             nts[1 : (r - 1) * M : M] = ts[2 * M - 1 :: M]
-            for lst, even, odd in ((origin, ocs, ots), (nxt, ncs, nts)):
-                lst += he
-                lst[h0::2] = even
-                lst[h0 + 1 :: 2] = odd
-            nxt[e], nxt[gap[u0]] = cs[0], ts[m]
-            deg += [2] * (r * m)
-            deg[nv0 : nv0 + (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
-            deg[v] += r
-            deg[u0] += 1
-            # u0 keeps its gap, v's runs in from the last face; for i < m,
-            # ts_j[i] runs out of w_j[i] and ts_j[i + 1] into it
-            gap[v] = ts[-M]
+            degs = [2] * (r * m)
+            degs[0 : (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
+            # for i < m, ts_j[i] runs out of w_j[i] and ts_j[i + 1] into it
             outs, ins = ts[:-1], ts[1:]
             del outs[m::M], ins[m::M]
-            self._v_half += outs
-            gap += ins
+            # A full row leaves v with q edges and one gap, ts_{r-1}[0], so
+            # v's closing face is glued along it and h_out.  When the head
+            # x of h_out has fewer than q edges the run stops there, and the
+            # face adds the path x, z[0 .. m - 2], w_{r-1}[0] with half-edges
+            # cz, tz, appended after the row as ``_attach_face`` would.  For
+            # a run that swallows x, a budget that stops the face, x = u0
+            # (its degree just changed) or p = 3 (the face adds no vertex,
+            # only a chord to check), the caller's next step is
+            # ``_attach_face`` itself.
+            x = origin[h_out ^ 1]
+            nv1 = nv0 + r * m
+            close = (
+                deg[v] + r == q and m > 1 and x != u0 and deg[x] < q and (budget is None or nv1 + m - 1 <= budget)
+            )
+            if close:
+                h1 = h0 + 2 * r * M
+                cz, tz = list(range(h1, h1 + 2 * m, 2)), list(range(h1 + 1, h1 + 2 * m, 2))
+                path = [x, *range(nv1, nv1 + m - 1), nv1 - m]
+                ocs += path[:-1]
+                ots += path[1:]
+                ncs += [*cz[1:], ts[-M]]
+                nts += [nxt[h_out], *tz[:-1]]
+                nts[(r - 1) * M + 1] = tz[-1]  # the boundary into w_{r-1}[0]
+                degs[-m] = 3  # w_{r-1}[0]
+                degs += [2] * (m - 1)
+                outs += tz[:-1]
+                ins += tz[1:]
+            _append_pairs(origin, ocs, ots)
+            _append_pairs(nxt, ncs, nts)
+            nxt[e], nxt[gap[u0]] = cs[0], ts[m]
+            deg.fromlist(degs)
+            deg[v] += r
+            deg[u0] += 1
+            self._v_half.fromlist(outs)
+            gap.fromlist(ins)
+            # u0 keeps its gap; v's runs in from the last face until it closes
+            if close:
+                nxt[h_out] = cz[0]
+                deg[x] += 1
+                gap[v], gap[x] = -1, tz[0]
+            else:
+                gap[v] = ts[-M]
         if deg[v] < q:
             raise BudgetExceeded(self)
 
@@ -392,8 +430,8 @@ class PlanarMap:
         if h0 < 0:  # a bare vertex: the new edge's two sides form the whole cycle
             half[v] = h0 = a
             gap[v] = b
-        self._he_origin += (v, leaf)
-        self._he_next += (b, h0)
+        self._he_origin.fromlist([v, leaf])
+        self._he_next.fromlist([b, h0])
         self._he_next[gap[v]] = a
         deg[v] += 1
         gap[v] = b if deg[v] < self.symbol.q else -1
@@ -406,10 +444,11 @@ class PlanarMap:
 
         A tree vertex (no boundary) takes leaves.  A disk vertex v short of
         edges, behind which the boundary comes from a vertex u0 short of
-        edges too, takes its forced row of faces; every other step is one
-        face, glued across any neighbors that have q edges.  Growth orders
-        other than ``_grow``'s can reach v with u0 at q edges; the one face
-        then swallows u0, where a row would give it q + 1.
+        edges too, takes its forced row of faces, mostly with the face that
+        closes it; every other step is one face, glued across any neighbors
+        that have q edges.  Growth orders other than ``_grow``'s can reach v
+        with u0 at q edges; the one face then swallows u0, where a row would
+        give it q + 1.
         """
         q, deg, gap = self.symbol.q, self._v_deg, self._v_gap
         origin, tree = self._he_origin, self.symbol.is_tree
@@ -444,6 +483,16 @@ class PlanarMap:
                 return
             self._saturate(targets, budget)
         raise RuntimeError("growth failed to reach the requested depth")
+
+
+def _append_pairs(col: array, even: list[int], odd: list[int]):
+    """Append new half-edge slots to a column: ``even`` at ids h0, h0 + 2,
+    .. and ``odd`` at their twins, interleaved in a list first so that the
+    column converts them in one ``fromlist``."""
+    block = even + odd
+    block[0::2] = even
+    block[1::2] = odd
+    col.fromlist(block)
 
 
 def build_map(s: Schlafli, min_saturated_depth: int, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> PlanarMap:
@@ -484,28 +533,45 @@ def vertex_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
     """Parent/child/sibling/cousin census of v's neighborhood.
 
     Same-generation neighbors sharing a parent with v are fraternal
-    (siblings); the rest are consortial (cousins).  ``dist`` may come from a
-    truncated BFS: a neighbor it never reached lies past v's generation and
-    counts as a child, never as a parent.
+    (siblings); the rest are consortial (cousins).  ``dist`` comes from a
+    BFS, so a neighbor labelled earlier than v is one generation earlier; it
+    may be truncated: a neighbor it never reached lies past v's generation
+    and counts as a child, never as a parent.  Neighbors are read off the
+    rotation walk, v's once and each same-generation neighbor's at most once.
     """
+    origin, nxt, half = m._he_origin, m._he_next, m._v_half
     d = dist[v]
-    parents = children = fraternal = consortial = 0
-    pset = None
-    nbrs = m.rotation(v)
-    for w in nbrs:
+    children = 0
+    parents = []
+    peers = []
+    h0 = h = half[v]
+    while True:
+        t = h ^ 1
+        w = origin[t]
         dw = dist[w]
         if dw < 0 or dw > d:
             children += 1
         elif dw < d:
-            parents += 1
+            parents.append(w)
         else:
-            if pset is None:
-                pset = {x for x in nbrs if dist[x] == d - 1}
-            if any(x in pset for x in m.rotation(w) if dist[x] == d - 1):
-                fraternal += 1
-            else:
-                consortial += 1
-    return VertexProfile(parents, children, fraternal, consortial)
+            peers.append(w)
+        h = nxt[t]
+        if h == h0:
+            break
+    fraternal = 0
+    if peers:
+        pset = set(parents)
+        for w in peers:
+            g0 = g = half[w]
+            while True:
+                t = g ^ 1
+                if origin[t] in pset:
+                    fraternal += 1
+                    break
+                g = nxt[t]
+                if g == g0:
+                    break
+    return VertexProfile(len(parents), children, fraternal, len(peers) - fraternal)
 
 
 # (parents, fraternal, consortial) -> class, one table per case; children are
@@ -520,12 +586,12 @@ _CLASSES = {
 }
 
 
-def _type_of(m: PlanarMap, v: int, dist: list[int]) -> str:
+def _type_of(m: PlanarMap, v: int, dist: list[int], table: dict[tuple[int, int, int], str]) -> str:
     """Classify one saturated non-origin vertex as A, B or C by looking its
-    profile up in its case's table; unexpected profiles raise
-    StructureViolation."""
+    profile up in ``table``, its case's ``_CLASSES`` entry; unexpected
+    profiles raise StructureViolation."""
     prof = vertex_profile(m, v, dist)
-    tag = _CLASSES[m.symbol.case].get((prof.parents, prof.fraternal, prof.consortial))
+    tag = table.get((prof.parents, prof.fraternal, prof.consortial))
     if tag is None:
         raise StructureViolation(v, dist[v], prof)
     return tag
@@ -547,9 +613,10 @@ def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
     b = [0] * (t + 1)
     c = [0] * (t + 1)
     buckets = {"A": a, "B": b, "C": c}
+    table = _CLASSES[m.symbol.case]
     for d in range(1, t + 1):
         for v in levels[d]:
-            buckets[_type_of(m, v, dist)][d] += 1
+            buckets[_type_of(m, v, dist, table)][d] += 1
     return report._replace(a=tuple(a), b=tuple(b), c=tuple(c))
 
 
@@ -558,6 +625,7 @@ def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:
     class tag, degree and neighbors in rotation order."""
     dist = m.distances()
     trusted = report.trusted_depth if report is not None else m._horizon[0]
+    table = _CLASSES[m.symbol.case]
     lines = [
         f"# map p={m.symbol.p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={trusted}",
         "# vertex generation type degree neighbors-in-rotation-order",
@@ -567,7 +635,7 @@ def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:
             tag = "O"
         elif dist[v] <= trusted:
             try:
-                tag = _type_of(m, v, dist)
+                tag = _type_of(m, v, dist, table)
             except StructureViolation:
                 tag = "?"
         else:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from pqcensus import INFINITY, Schlafli
 from pqcensus.genfunc import derive
-from pqcensus.oracle import CensusReport, PlanarMap, _type_of
+from pqcensus.oracle import _CLASSES, CensusReport, PlanarMap, VertexProfile, _type_of
 from pqcensus.polyarith import RationalGF, gf_normalize, primitive, pseudo_rem
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
@@ -184,6 +184,39 @@ def latest_vertex_face_audit(m: PlanarMap, trusted: int, types: dict[int, str], 
             assert hits.get(v, 0) == 1, f"type-B vertex {v} closes {hits.get(v, 0)} faces"
 
 
+def type_of(m: PlanarMap, v: int, dist: list[int]) -> str:
+    """``_type_of`` with the table of m's case, as ``classify`` passes it."""
+    return _type_of(m, v, dist, _CLASSES[m.symbol.case])
+
+
+def reference_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
+    """``vertex_profile`` from neighbor tuples: v's parent set is built from
+    its ``rotation``, and each same-generation neighbor w is a sibling when
+    ``rotation(w)`` holds a vertex of that set.
+
+    ``vertex_profile`` walks the half-edges instead and must agree with
+    this exactly, on a full or a truncated ``dist``.
+    """
+    d = dist[v]
+    parents = children = fraternal = consortial = 0
+    pset = None
+    nbrs = m.rotation(v)
+    for w in nbrs:
+        dw = dist[w]
+        if dw < 0 or dw > d:
+            children += 1
+        elif dw < d:
+            parents += 1
+        else:
+            if pset is None:
+                pset = {x for x in nbrs if dist[x] == d - 1}
+            if any(x in pset for x in m.rotation(w) if dist[x] == d - 1):
+                fraternal += 1
+            else:
+                consortial += 1
+    return VertexProfile(parents, children, fraternal, consortial)
+
+
 def reference_census(m: PlanarMap) -> CensusReport:
     """Census and classes from a BFS over the whole map.
 
@@ -203,7 +236,7 @@ def reference_census(m: PlanarMap) -> CensusReport:
         if d <= trusted:
             counts["v"][d] += 1
             if d > 0:
-                counts[_type_of(m, v, dist)][d] += 1
+                counts[type_of(m, v, dist)][d] += 1
     return CensusReport(
         m.symbol, trusted, *(tuple(counts[k]) for k in "vABC")
     )

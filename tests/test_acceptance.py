@@ -16,13 +16,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import admissible_symbols, face_extremes_audit, fibonacci_check, latest_vertex_face_audit
+from conftest import admissible_symbols, face_extremes_audit, fibonacci_check, latest_vertex_face_audit, type_of
 from pqcensus.asymptotics import EUCLIDEAN, HYPERBOLIC, growth
 from pqcensus.genfunc import INFINITY, Schlafli, derive
 from pqcensus.oracle import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceeded,
-    _type_of,
     bfs_census,
     build_map,
     classify,
@@ -241,7 +240,7 @@ def test_property_suite(oracle_grid):
             assert face_extremes_audit(m, rep.trusted_depth, dist) > 0, str(s)
             if not s.is_tree and s.p % 2 == 0:
                 types = {
-                    v: _type_of(m, v, dist)
+                    v: type_of(m, v, dist)
                     for v in range(m.vertex_count)
                     if 0 < dist[v] <= rep.trusted_depth
                 }

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,8 @@ from conftest import (
     face_extremes_audit,
     latest_vertex_face_audit,
     reference_census,
+    reference_profile,
+    type_of,
 )
 from pqcensus.genfunc import (
     CASE_EVEN,
@@ -25,7 +28,6 @@ from pqcensus.oracle import (
     PlanarMap,
     StructureViolation,
     VertexProfile,
-    _type_of,
     bfs_census,
     build_map,
     build_tree,
@@ -153,6 +155,19 @@ class TestBuildMap:
         m = build_map(Schlafli(8, 8), 5, vertex_budget=None)
         assert (m.vertex_count, m.face_count) == (779_793, 133_680)
 
+    def test_bytes_per_vertex(self):
+        # the five columns hold 4-byte C ints, about 32 bytes a vertex of
+        # {8,8}; the build's peak adds each growth round's BFS distance
+        # list and the columns' spare capacity
+        tracemalloc.start()
+        try:
+            m = build_map(Schlafli(8, 8), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.vertex_count == 16_009
+        assert peak <= 64 * m.vertex_count, f"{peak / m.vertex_count:.0f} bytes a vertex"
+
     # Vertex ids and rotation order are part of the output (dumps,
     # perfbench references), so however the builder glues faces it must
     # make exactly these maps.  The trees pin the rotation order of
@@ -229,6 +244,27 @@ class TestBuildMap:
             if full:
                 break
         assert m.degree(u0) == s.q and m._v_gap[u0] < 0
+
+    @pytest.mark.parametrize("pq", [(7, 3), (5, 4), (4, 5), (8, 8)], ids=str)
+    def test_closing_face_swallows_a_full_successor(self, pq):
+        # Bring x to q edges as above, then saturate its boundary
+        # predecessor v, which takes a row of faces.  The face that closes
+        # v is glued along the boundary edge into x, and its run goes on
+        # across x: one face closes both, where gluing it along that edge
+        # alone would give x q + 1 edges.
+        s = Schlafli(*pq)
+        with pytest.raises(BudgetExceeded) as exc:
+            build_map(s, 0, vertex_budget=s.p)
+        m = exc.value.partial_map
+        x = 2
+        while m.degree(x) < s.q:
+            m._saturate([m._he_origin[m._he_next[m._v_gap[x]] ^ 1]], None)
+        v = m._he_origin[m._v_gap[x]]
+        assert m.degree(v) < s.q and m.degree(m._he_origin[m._v_gap[v]]) < s.q
+        m._saturate([v], None)
+        check_map_structure(m)
+        assert max(map(m.degree, range(m.vertex_count))) == s.q
+        assert m._v_gap[x] < 0
 
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
@@ -339,7 +375,7 @@ PROFILE_TAGS = {
 
 
 class TestClassifierProfiles:
-    """``_type_of`` decides a vertex's class from its profile alone; a
+    """``type_of`` decides a vertex's class from its profile alone; a
     profile that fits no class raises, and ``dump_map`` tags the vertex
     ``?`` instead."""
 
@@ -357,11 +393,11 @@ class TestClassifierProfiles:
         tag = PROFILE_TAGS[pq][profile]
         if tag is None:
             with pytest.raises(StructureViolation) as exc:
-                _type_of(m, 1, dist)
+                type_of(m, 1, dist)
             assert (exc.value.vertex, exc.value.generation) == (1, 1)
             assert exc.value.profile == VertexProfile(*profile)
         else:
-            assert _type_of(m, 1, dist) == tag
+            assert type_of(m, 1, dist) == tag
 
     @pytest.mark.parametrize("pq", list(PROFILE_TAGS), ids=str)
     def test_dump_marks_violation(self, maps, monkeypatch, pq):
@@ -420,7 +456,7 @@ def test_latest_vertex_bijection_even(pq, sample_maps):
     m, rep = sample_maps[pq]
     dist = m.distances()
     types = {
-        v: _type_of(m, v, dist)
+        v: type_of(m, v, dist)
         for v in range(m.vertex_count)
         if 0 < dist[v] <= rep.trusted_depth
     }
@@ -494,6 +530,18 @@ def test_equivalence_small_grid():
         assert list(rep.a) == series_coeffs(cgf.a, t), s
         assert list(rep.b) == series_coeffs(cgf.b, t), s
         assert list(rep.c) == series_coeffs(cgf.c, t), s
+
+
+@pytest.mark.parametrize("s", admissible_symbols(range(3, 9), range(3, 9)), ids=str)
+def test_profile_walk_matches_reference(s):
+    # the half-edge walk against the rotation tuples, on every vertex the
+    # census BFS labels: ball(t + 1), whose outer generation has neighbors
+    # the truncated BFS never reached
+    m = build_map(s, 4)
+    _, dist, levels = m._horizon
+    for level in levels[1:]:
+        for v in level:
+            assert vertex_profile(m, v, dist) == reference_profile(m, v, dist), v
 
 
 class TestBoundedCensus:
@@ -572,4 +620,4 @@ class TestBoundedCensus:
         # neighbors the truncated BFS never reached are children, not parents
         for v in range(m.vertex_count):
             if full[v] == edge:
-                assert vertex_profile(m, v, cut) == vertex_profile(m, v, full)
+                assert vertex_profile(m, v, cut) == vertex_profile(m, v, full) == reference_profile(m, v, cut)
