@@ -38,8 +38,9 @@ CASE_TRIANGLE = "TRIANGLE"
 CASE_ODD = "ODD"
 
 # the derivations build dense polynomials of degree about p, and the growth
-# analysis evaluates them at 40 bisection points (``asym 2001 3``: about 0.6 s
-# on 2 vCPUs, most of it in those evaluations and 0.03 s in ``derive``); z0 is
+# analysis evaluates them at 40 bisection points (``asym`` on {2001,3},
+# {2047,7}, {1999,2048} and {2046,3}: 0.43-0.60 s end to end on 2 vCPUs,
+# most of it in those evaluations and 0.03 s in ``derive``); z0 is
 # about 1/q, certified to an absolute 2^-40 cell, so q is bounded as well
 MAX_DEGREE = 2048
 

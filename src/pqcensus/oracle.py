@@ -6,12 +6,13 @@ independently of the generating-function derivations: the builder knows
 nothing about vertex classes or recurrences, only the two local rules that
 every face has degree p and every vertex degree q.
 
-Construction works face by face along the disk boundary.  A disk starts
-from one seed edge at the origin (the tree's pendant-edge step below), both
-of its sides on the boundary, and its first p-gon is glued along that edge
-by the same step as every other face.  A boundary vertex with f incident
-closed faces has f + 1 edges (its faces form a fan with one open gap), so
-the vertex is finished exactly when it has q faces.
+Construction works face by face along the disk boundary.  Every map, a
+tree's too, starts from one seed edge 0 -> 1 at the origin (the tree's
+pendant-edge step below).  On a disk both of its sides are on the boundary,
+and its first p-gon is glued along that edge by the same step as every
+other face.  A boundary vertex with f incident closed faces has f + 1 edges
+(its faces form a fan with one open gap), so the vertex is finished exactly
+when it has q faces.
 Attaching one p-gon means choosing a maximal run of consecutive boundary
 edges to glue along: a boundary vertex interior to the run gains a face
 but no edge, hence must have had q - 1 faces (the new face is its last),
@@ -32,25 +33,32 @@ next free ids, the whole row is one arithmetic pattern.  v's next face
 closes it, glued along the row's last edge and the boundary edge out of
 v; unless that run goes on across a neighbor with q edges, it too is
 fixed.  ``_attach_fan`` writes the row and that face as one block: the
-same ids in the same order as face by face, with the budget checked
-before each face as the face step does.
+same ids in the same order as face by face.  It writes only a row that fits
+the vertex budget; a row that the budget cuts goes face by face through
+``_attach_face``, which stops at the first face that would overrun it.
+The map holds its budget, and every step checks it before it changes the
+map.
 
 The q-regular tree {inf,q} grows by the same rounds with a simpler step:
 a vertex missing edges gets one pendant edge to a new leaf at a time, until
 it has q.
 
-Census trust: a vertex is saturated when it has q edges and is off the
-boundary, so for a disk all q of its faces are closed (a tree has no
-boundary, so q edges suffice).  The report covers generation n only if
-every vertex at distance <= n is saturated; generation zero is always
-exact.  Counts past that horizon are withheld rather than reported
-partially.  The census BFS therefore stops at the first generation holding
-an unsaturated vertex: it visits only the ball one generation past the
-trusted depth, not the whole face closure the builder had to create around
-it (for {8,8} at depth 5, about 22 thousand of 780 thousand vertices).
-``classify`` reuses that BFS; ``dump_map`` runs a full one through
-``distances``.  The classifier is one table per derivation case
-(``Schlafli.case``) from a vertex's parent/sibling/cousin profile to its class.
+Census trust: a vertex is saturated when it has no open gap.  On a disk
+that means q edges and off the boundary, so all q of its faces are closed;
+a tree vertex closes its gap with its q-th edge.  After the seed edge every
+vertex with fewer than q edges has a gap, so the gap alone is read.  The
+report covers generation n only if every vertex at distance <= n is
+saturated; generation zero is always exact.  Counts past that horizon are
+withheld rather than reported partially.  One BFS generator, ``_levels``,
+labels each generation before it yields it, and its callers stop it where
+they need: the builder after ball(depth), the census at the first
+generation holding an unsaturated vertex, ``distances`` never.  So the
+census visits only the ball one generation past the trusted depth, not the
+whole face closure the builder had to create around it (for {8,8} at depth
+5, about 22 thousand of 780 thousand vertices).  ``classify`` reuses that
+BFS; ``dump_map`` runs a full one through ``distances``.  The classifier is
+one table per derivation case (``Schlafli.case``) from a vertex's
+parent/sibling/cousin profile to its class.
 
 Storage is flat: five ``array('i')`` columns, origin and next per
 half-edge, degree, gap half-edge and one outgoing half-edge per vertex,
@@ -68,15 +76,17 @@ and is the only pointer stored: rotation around a vertex steps from an
 outgoing h to next(twin(h)).  A vertex's gap half-edge runs into it at its
 open gap (on a disk the incoming boundary half-edge, on a tree the slot
 before its first half-edge) and is -1 once the vertex is closed.  Closed
-faces per vertex are not stored: the saturation rule reads degree == q and
-no gap, and the glue run extends across boundary vertices of degree q.
+faces per vertex are not stored: the saturation rule reads the gap alone,
+and the glue run extends across boundary vertices of degree q.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from pqcensus.genfunc import (
@@ -154,13 +164,18 @@ class PlanarMap:
     half-edge h to next(twin(h)).
     """
 
-    def __init__(self, symbol: Schlafli):
+    def __init__(self, symbol: Schlafli, budget: int | None = None):
         self.symbol = symbol
+        # most vertices the map may hold, at least its origin; without a
+        # budget, a cap that no map reaches (its ids are C ints)
+        self.budget = sys.maxsize if budget is None else budget
+        if self.budget < 1:
+            raise ValueError("vertex budget must be >= 1")
         self._he_origin = array("i")
         self._he_next = array("i")
         self._v_deg = array("i", [0])
-        # the half-edge into v at its open gap, -1 once v is closed: a
-        # vertex is saturated when its degree is q and this is -1
+        # the half-edge into v at its open gap, -1 once v is closed: after
+        # the seed edge, a vertex is saturated exactly when this is -1
         self._v_gap = array("i", [-1])
         self._v_half = array("i", [-1])  # any outgoing half-edge
 
@@ -201,32 +216,32 @@ class PlanarMap:
 
     def distances(self) -> list[int]:
         """Graph distance from the origin for every vertex (full BFS)."""
-        return self._bfs()[0]
+        dist = [-1] * self.vertex_count
+        for _ in self._levels(dist):
+            pass
+        return dist
 
     # -- breadth-first search ---------------------------------------------
 
     def _unsaturated_in(self, level: list[int]) -> bool:
-        return (
-            min(map(self._v_deg.__getitem__, level)) < self.symbol.q
-            or max(map(self._v_gap.__getitem__, level)) >= 0
-        )
+        return max(map(self._v_gap.__getitem__, level)) >= 0
 
-    def _bfs(self, cap: int | None = None, horizon: bool = False) -> tuple[list[int], list[list[int]]]:
-        """Generation-by-generation BFS from the origin: (dist, levels).
+    def _levels(self, dist: list[int]) -> Iterator[list[int]]:
+        """Yield the generations of a BFS from the origin, each labelled in
+        ``dist`` (all -1 on entry) before it is yielded.
 
-        Stops after generation ``cap`` (no cap when None) or, with
-        ``horizon``, after the first generation holding an unsaturated
-        vertex.  ``levels[d]`` lists generation d in an order that every
-        reader sorts or ignores; vertices never reached keep distance -1.
+        A caller that stops early leaves the next generation unlabelled:
+        its vertices keep distance -1.  Each generation lists its vertices
+        in an order that every reader sorts or ignores.
         """
         origin, nxt, half = self._he_origin, self._he_next, self._v_half
-        dist = [-1] * self.vertex_count
         dist[0] = 0
         level = [0]
-        levels = [level]
         d = 0
-        # a bare origin has no half-edge to walk
-        while origin and (cap is None or d < cap) and not (horizon and self._unsaturated_in(level)):
+        while level:
+            yield level
+            if not origin:  # a bare origin has no half-edge to walk
+                return
             d += 1
             grown = []
             for v in level:
@@ -242,11 +257,7 @@ class PlanarMap:
                     h = nxt[t]
                     if h == h0:
                         break
-            if not grown:
-                break
-            levels.append(grown)
             level = grown
-        return dist, levels
 
     @cached_property
     def _horizon(self) -> tuple[int, list[int], list[list[int]]]:
@@ -257,15 +268,17 @@ class PlanarMap:
         Computed once: no code reads it while the map grows (BudgetExceeded
         is raised before a step changes the map).
         """
-        dist, levels = self._bfs(horizon=True)
-        t = len(levels) - 1
-        if self._unsaturated_in(levels[-1]):
-            t = max(0, t - 1)
-        return t, dist, levels
+        dist = [-1] * self.vertex_count
+        levels = []
+        for level in self._levels(dist):
+            levels.append(level)
+            if self._unsaturated_in(level):
+                return max(0, len(levels) - 2), dist, levels
+        return len(levels) - 1, dist, levels
 
     # -- construction internals -------------------------------------------
 
-    def _attach_face(self, v: int, budget: int | None):
+    def _attach_face(self, v: int):
         """Glue one new p-gon into the open gap behind boundary vertex v."""
         p, q = self.symbol.p, self.symbol.q
         deg, gap = self._v_deg, self._v_gap
@@ -290,7 +303,7 @@ class PlanarMap:
             raise RuntimeError("glue run self-intersects; disk invariant broken")
         u0, uk = verts[0], verts[-1]
         nv0 = len(deg)
-        if budget is not None and m > 0 and nv0 + m > budget:
+        if nv0 + m > self.budget:
             raise BudgetExceeded(self)
         if m == 0 and u0 in self.rotation(uk):
             raise RuntimeError("closing chord already present; map would lose simplicity")
@@ -319,11 +332,13 @@ class PlanarMap:
         gap.fromlist(ts[1:])
         self._v_half.fromlist(ts[:m])
 
-    def _attach_fan(self, v: int, budget: int | None):
+    def _attach_fan(self, v: int):
         """Glue the row of single-edge faces that boundary vertex v is forced
         to take, and mostly the face that then closes v, as one block: the
         same ids in the same slots as the calls of ``_attach_face`` that
-        glue them, and a budget cut keeps the same faces.
+        glue them.  A row that the budget cuts is not written here: v goes
+        to ``_attach_face``, which glues the same faces one at a time and
+        stops at the first that would overrun the budget.
 
         The caller has checked that v and the tail u0 of the boundary edge
         e into v both have fewer than q edges.  Face j is glued along e_j
@@ -342,86 +357,80 @@ class PlanarMap:
             raise RuntimeError("glue run self-intersects; disk invariant broken")
         nv0 = len(deg)
         r = q - deg[v]
-        if budget is not None:
-            r = min(r, (budget - nv0) // m)
-        if r > 0:
-            # As in _attach_face, each column gets one list in one
-            # ``fromlist``.  Each list starts from the one-face pattern
-            # shifted by one slot (the slot shifted in is overwritten), then
-            # one strided slice per exception sets what differs from it.
-            h0 = len(origin)
-            cs, ts = list(range(h0, h0 + 2 * r * M, 2)), list(range(h0 + 1, h0 + 2 * r * M, 2))
-            es = [e, *ts[0 : (r - 1) * M : M]]  # e_j
-            # origin: chain_j[i] along cs, chain_j[i + 1] along ts
-            ocs = list(chain.from_iterable(zip(repeat(v, r), *[iter(range(nv0, nv0 + r * m))] * m)))
-            ots = ocs[1:] + [u0]
-            ots[m::M] = [u0, *ocs[1 : (r - 1) * M : M]]
-            # next: the face cycle closes through e_j; the boundary runs
-            # ts_j[m] .. ts_j[0], except that face j + 1 is glued along
-            # ts_j[0], so ts_j[1] is followed by ts_{j+1}[m]
-            ncs = cs[1:] + [e]
-            ncs[m::M] = es
-            nts = [h_out] + ts[:-1]
-            nts[0::M] = [*cs[M::M], h_out]
-            nts[1 : (r - 1) * M : M] = ts[2 * M - 1 :: M]
-            degs = [2] * (r * m)
-            degs[0 : (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
-            # for i < m, ts_j[i] runs out of w_j[i] and ts_j[i + 1] into it
-            outs, ins = ts[:-1], ts[1:]
-            del outs[m::M], ins[m::M]
-            # A full row leaves v with q edges and one gap, ts_{r-1}[0], so
-            # v's closing face is glued along it and h_out.  When the head
-            # x of h_out has fewer than q edges the run stops there, and the
-            # face adds the path x, z[0 .. m - 2], w_{r-1}[0] with half-edges
-            # cz, tz, appended after the row as ``_attach_face`` would.  For
-            # a run that swallows x, a budget that stops the face, x = u0
-            # (its degree just changed) or p = 3 (the face adds no vertex,
-            # only a chord to check), the caller's next step is
-            # ``_attach_face`` itself.
-            x = origin[h_out ^ 1]
-            nv1 = nv0 + r * m
-            close = (
-                deg[v] + r == q and m > 1 and x != u0 and deg[x] < q and (budget is None or nv1 + m - 1 <= budget)
-            )
-            if close:
-                h1 = h0 + 2 * r * M
-                cz, tz = list(range(h1, h1 + 2 * m, 2)), list(range(h1 + 1, h1 + 2 * m, 2))
-                path = [x, *range(nv1, nv1 + m - 1), nv1 - m]
-                ocs += path[:-1]
-                ots += path[1:]
-                ncs += [*cz[1:], ts[-M]]
-                nts += [nxt[h_out], *tz[:-1]]
-                nts[(r - 1) * M + 1] = tz[-1]  # the boundary into w_{r-1}[0]
-                degs[-m] = 3  # w_{r-1}[0]
-                degs += [2] * (m - 1)
-                outs += tz[:-1]
-                ins += tz[1:]
-            _append_pairs(origin, ocs, ots)
-            _append_pairs(nxt, ncs, nts)
-            nxt[e], nxt[gap[u0]] = cs[0], ts[m]
-            deg.fromlist(degs)
-            deg[v] += r
-            deg[u0] += 1
-            self._v_half.fromlist(outs)
-            gap.fromlist(ins)
-            # u0 keeps its gap; v's runs in from the last face until it closes
-            if close:
-                nxt[h_out] = cz[0]
-                deg[x] += 1
-                gap[v], gap[x] = -1, tz[0]
-            else:
-                gap[v] = ts[-M]
-        if deg[v] < q:
-            raise BudgetExceeded(self)
+        nv1 = nv0 + r * m
+        if nv1 > self.budget:
+            return self._attach_face(v)
+        # As in _attach_face, each column gets one list in one ``fromlist``.
+        # Each list starts from the one-face pattern shifted by one slot (the
+        # slot shifted in is overwritten), then one strided slice per
+        # exception sets what differs from it.
+        h0 = len(origin)
+        cs, ts = list(range(h0, h0 + 2 * r * M, 2)), list(range(h0 + 1, h0 + 2 * r * M, 2))
+        es = [e, *ts[0 : (r - 1) * M : M]]  # e_j
+        # origin: chain_j[i] along cs, chain_j[i + 1] along ts
+        ocs = list(chain.from_iterable(zip(repeat(v, r), *[iter(range(nv0, nv1))] * m)))
+        ots = ocs[1:] + [u0]
+        ots[m::M] = [u0, *ocs[1 : (r - 1) * M : M]]
+        # next: the face cycle closes through e_j; the boundary runs
+        # ts_j[m] .. ts_j[0], except that face j + 1 is glued along ts_j[0],
+        # so ts_j[1] is followed by ts_{j+1}[m]
+        ncs = cs[1:] + [e]
+        ncs[m::M] = es
+        nts = [h_out] + ts[:-1]
+        nts[0::M] = [*cs[M::M], h_out]
+        nts[1 : (r - 1) * M : M] = ts[2 * M - 1 :: M]
+        degs = [2] * (r * m)
+        degs[0 : (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
+        # for i < m, ts_j[i] runs out of w_j[i] and ts_j[i + 1] into it
+        outs, ins = ts[:-1], ts[1:]
+        del outs[m::M], ins[m::M]
+        # The row leaves v with q edges and one gap, ts_{r-1}[0], so v's
+        # closing face is glued along it and h_out.  When the head x of
+        # h_out has fewer than q edges the run stops there, and the face adds
+        # the path x, z[0 .. m - 2], w_{r-1}[0] with half-edges cz, tz,
+        # appended after the row as ``_attach_face`` would.  For a run that
+        # swallows x, a budget that stops the face, x = u0 (its degree just
+        # changed) or p = 3 (the face adds no vertex, only a chord to check),
+        # the caller's next step is ``_attach_face`` itself.
+        x = origin[h_out ^ 1]
+        close = m > 1 and x != u0 and deg[x] < q and nv1 + m - 1 <= self.budget
+        if close:
+            h1 = h0 + 2 * r * M
+            cz, tz = list(range(h1, h1 + 2 * m, 2)), list(range(h1 + 1, h1 + 2 * m, 2))
+            path = [x, *range(nv1, nv1 + m - 1), nv1 - m]
+            ocs += path[:-1]
+            ots += path[1:]
+            ncs += [*cz[1:], ts[-M]]
+            nts += [nxt[h_out], *tz[:-1]]
+            nts[(r - 1) * M + 1] = tz[-1]  # the boundary into w_{r-1}[0]
+            degs[-m] = 3  # w_{r-1}[0]
+            degs += [2] * (m - 1)
+            outs += tz[:-1]
+            ins += tz[1:]
+        _append_pairs(origin, ocs, ots)
+        _append_pairs(nxt, ncs, nts)
+        nxt[e], nxt[gap[u0]] = cs[0], ts[m]
+        deg.fromlist(degs)
+        deg[v] = q
+        deg[u0] += 1
+        self._v_half.fromlist(outs)
+        gap.fromlist(ins)
+        # u0 keeps its gap; v's runs in from the last face until it closes
+        if close:
+            nxt[h_out] = cz[0]
+            deg[x] += 1
+            gap[v], gap[x] = -1, tz[0]
+        else:
+            gap[v] = ts[-M]
 
-    def _attach_leaf(self, v: int, budget: int | None):
-        """Hang one new leaf off vertex v (a tree step, and a disk's seed edge).
+    def _attach_leaf(self, v: int):
+        """Hang one new leaf off vertex v (a tree step, and every map's seed edge).
 
         The pendant edge is spliced into v's rotation at its gap, just before
         ``_v_half[v]``, so v's neighbors keep the order they were added in.
         """
         leaf = len(self._v_deg)
-        if budget is not None and leaf + 1 > budget:
+        if leaf + 1 > self.budget:
             raise BudgetExceeded(self)
         deg, gap, half = self._v_deg, self._v_gap, self._v_half
         a = len(self._he_origin)  # runs v -> leaf, its twin b leaf -> v
@@ -439,7 +448,7 @@ class PlanarMap:
         gap.append(a)
         half.append(b)
 
-    def _saturate(self, targets: list[int], budget: int | None):
+    def _saturate(self, targets: list[int]):
         """Attach steps at each target in turn until it is saturated.
 
         A tree vertex (no boundary) takes leaves.  A disk vertex v short of
@@ -453,35 +462,39 @@ class PlanarMap:
         q, deg, gap = self.symbol.q, self._v_deg, self._v_gap
         origin, tree = self._he_origin, self.symbol.is_tree
         for v in targets:
-            while deg[v] < q or gap[v] >= 0:
+            while gap[v] >= 0:
                 if tree:
-                    self._attach_leaf(v, budget)
+                    self._attach_leaf(v)
                 elif deg[v] < q and deg[origin[gap[v]]] < q:
-                    self._attach_fan(v, budget)
+                    self._attach_fan(v)
                 else:
-                    self._attach_face(v, budget)
+                    self._attach_face(v)
 
-    def _grow(self, depth: int, budget: int | None):
-        q, deg, gap = self.symbol.q, self._v_deg, self._v_gap
-        if not self.symbol.is_tree:
-            # The first face is glued along a seed edge 0 -> 1 with both
-            # sides on the boundary, like every other face.  It is all or
-            # nothing: a budget below p leaves the bare origin.
-            if budget is not None and self.symbol.p > budget:
-                raise BudgetExceeded(self)
-            self._attach_leaf(0, budget)
-            self._attach_face(1, budget)
+    def _grow(self, depth: int):
+        gap, tree = self._v_gap, self.symbol.is_tree
+        # Every map starts from a seed edge 0 -> 1, after which a vertex is
+        # saturated exactly when it has no open gap.  A disk's first face is
+        # glued along that edge, both of whose sides are on the boundary, like
+        # every other face.  It is all or nothing: a budget below p leaves
+        # the bare origin.
+        if not tree and self.symbol.p > self.budget:
+            raise BudgetExceeded(self)
+        self._attach_leaf(0)
+        if not tree:
+            self._attach_face(1)
         # Every target of a round ends saturated, and once ball(r - 2) is
         # saturated no vertex can join ball(r - 1) or change distance inside
         # it.  So round r leaves ball(r - 1) saturated, ball(depth) is
         # saturated after round depth + 1, and round depth + 2 finds no
         # targets.
         for _ in range(depth + 2):
-            # unsaturated vertices within depth, nearest first, then by id
-            targets = [v for level in self._bfs(depth)[1] for v in sorted(level) if deg[v] < q or gap[v] >= 0]
+            # unsaturated vertices within depth, nearest first, then by id; no
+            # local holds the BFS, whose distance list is freed before the map grows
+            targets = [v for level in islice(self._levels([-1] * self.vertex_count), depth + 1)
+                       for v in sorted(level) if gap[v] >= 0]
             if not targets:
                 return
-            self._saturate(targets, budget)
+            self._saturate(targets)
         raise RuntimeError("growth failed to reach the requested depth")
 
 
@@ -501,15 +514,16 @@ def build_map(s: Schlafli, min_saturated_depth: int, vertex_budget: int | None =
 
     Raises BudgetExceeded (carrying the achieved depth and the partial map)
     if the vertex budget would be overrun first; pass ``vertex_budget=None``
-    to grow without a cap.  A tree comes out with its leaves at distance
+    to grow without a cap.  A budget below 1 raises ValueError: no map is
+    smaller than its origin.  A tree comes out with its leaves at distance
     depth + 1, so its saturation horizon is exactly the requested depth.
     """
     if not s.admissible():
         raise SphericalOutOfScope(s.p, s.q)
     if min_saturated_depth < 0:
         raise ValueError("min_saturated_depth must be >= 0")
-    m = PlanarMap(s)
-    m._grow(min_saturated_depth, vertex_budget)
+    m = PlanarMap(s, vertex_budget)
+    m._grow(min_saturated_depth)
     return m
 
 

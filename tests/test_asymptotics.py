@@ -154,6 +154,19 @@ def test_large_p_cells(pq):
     assert _rouche_disk(den)[0] == n
 
 
+def test_graeffe_near_tie():
+    # the near tie that sets _GRAEFFE_STEPS: 1/46 beside 1/45 and -1/45 is
+    # isolated after 7 steps (N = 128), one short of the limit; ten times
+    # closer, 1/460 beside 1/459 and -1/459, it is refused
+    near = IntPoly([1, -46]) * IntPoly([1, -45]) * IntPoly([1, 45])
+    assert _rouche_disk(near)[0] == 128
+    lo, hi = _certify_smallest_root(near)
+    assert lo <= Fraction(1, 46) <= hi and hi - lo <= CELL
+    nearer = IntPoly([1, -460]) * IntPoly([1, -459]) * IntPoly([1, 459])
+    with pytest.raises(NoRootFound, match="in 8 Graeffe steps"):
+        _rouche_disk(nearer)
+
+
 # sha256 of str() of the v, a, b and c generating functions of four large
 # symbols, recorded before long division skipped zero taps and scaled the
 # dividend once; {2046,3} is the case whose (1 - z)Q is dense

@@ -250,3 +250,30 @@ def test_euclidean_arithmetic_progressions():
     for (p, q), step in [((4, 4), 4), ((3, 6), 6), ((6, 3), 3)]:
         v = series_coeffs(derive(Schlafli(p, q)).v, 30)
         assert all(v[n] == step * n for n in range(1, 31))
+
+
+def reciprocal(gf) -> bool:
+    """v(1/z) = v(z) as rational functions, checked exactly: with * the
+    reversal of a coefficient list, z^(deg Q - deg P) P*(z) Q(z) = P(z) Q*(z).
+    Every census here has deg P <= deg Q (equal, in fact)."""
+    p, q = gf.num, gf.den
+    assert p.degree <= q.degree
+    left = IntPoly([0] * (q.degree - p.degree) + list(p.coeffs[::-1])) * q
+    return left == p * IntPoly(q.coeffs[::-1])
+
+
+def test_census_reciprocal_on_grid():
+    # every Euclidean and hyperbolic census with p, q <= 40 (1,439 symbols)
+    grid = admissible_symbols(range(3, 41), range(3, 41))
+    assert len(grid) == 1439
+    assert [s for s in grid if not reciprocal(derive(s).v)] == []
+
+
+@pytest.mark.parametrize("pq", [(2001, 3), (2046, 3), (1999, 2048), (2048, 2048)], ids=str)
+def test_census_reciprocal_large_p(pq):
+    assert reciprocal(derive(Schlafli(*pq)).v)
+
+
+def test_tree_census_not_reciprocal():
+    # (1 + z)/(1 - 2z): the tree's growth series has no such symmetry
+    assert not reciprocal(derive(Schlafli(INFINITY, 3)).v)

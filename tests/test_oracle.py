@@ -63,6 +63,15 @@ def build_or_partial(pq, depth, budget=DEFAULT_VERTEX_BUDGET):
         return exc.partial_map
 
 
+def first_face(s):
+    """An unbudgeted map holding only the first face, laid as ``_grow`` lays
+    it: the seed edge 0 -> 1, then the face glued along it."""
+    m = PlanarMap(s)
+    m._attach_leaf(0)
+    m._attach_face(1)
+    return m
+
+
 @pytest.fixture(scope="module")
 def sample_maps():
     built = {}
@@ -230,15 +239,13 @@ class TestBuildMap:
         # vertex must glue one face across u0, not hang a row of faces off
         # it, which would give u0 q + 1 edges.
         s = Schlafli(*pq)
-        with pytest.raises(BudgetExceeded) as exc:
-            build_map(s, 0, vertex_budget=s.p)
-        m = exc.value.partial_map
+        m = first_face(s)
         u0 = 2
         while True:
             full = m.degree(u0) == s.q
             w = m._he_origin[m._he_next[m._v_gap[u0]] ^ 1]
             assert m.degree(w) < s.q
-            m._saturate([w], None)
+            m._saturate([w])
             check_map_structure(m)
             assert max(map(m.degree, range(m.vertex_count))) == s.q
             if full:
@@ -253,22 +260,43 @@ class TestBuildMap:
         # across x: one face closes both, where gluing it along that edge
         # alone would give x q + 1 edges.
         s = Schlafli(*pq)
-        with pytest.raises(BudgetExceeded) as exc:
-            build_map(s, 0, vertex_budget=s.p)
-        m = exc.value.partial_map
+        m = first_face(s)
         x = 2
         while m.degree(x) < s.q:
-            m._saturate([m._he_origin[m._he_next[m._v_gap[x]] ^ 1]], None)
+            m._saturate([m._he_origin[m._he_next[m._v_gap[x]] ^ 1]])
         v = m._he_origin[m._v_gap[x]]
         assert m.degree(v) < s.q and m.degree(m._he_origin[m._v_gap[v]]) < s.q
-        m._saturate([v], None)
+        m._saturate([v])
         check_map_structure(m)
         assert max(map(m.degree, range(m.vertex_count))) == s.q
         assert m._v_gap[x] < 0
 
+    @pytest.mark.parametrize(
+        "pq,size", [((4, 5), 11), ((5, 4), 13), ((7, 3), 16), ((8, 8), 49), ((6, 4), 17)], ids=str
+    )
+    def test_row_that_ends_at_its_own_tail(self, pq, size):
+        # Saturate the seed edge's leaf 1 before any face is glued: its row
+        # of faces hangs off the origin u0 = 0, and the boundary out of 1
+        # runs straight back into u0, whose degree the row has just raised.
+        # The face that closes 1 must then be left to _attach_face.
+        s = Schlafli(*pq)
+        m = PlanarMap(s)
+        m._attach_leaf(0)
+        m._saturate([1])
+        assert m.vertex_count == size and m._v_gap[1] < 0
+        check_map_structure(m)
+
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
             build_map(Schlafli(4, 3), 2)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        # no map is smaller than its origin
+        with pytest.raises(ValueError, match="vertex budget must be >= 1"):
+            build_map(Schlafli(4, 5), 2, vertex_budget=budget)
+        with pytest.raises(ValueError, match="vertex budget must be >= 1"):
+            build_tree(3, 2, budget)
 
     def test_budget_exceeded_reports_achieved_depth(self):
         with pytest.raises(BudgetExceeded) as exc:
