@@ -4,11 +4,13 @@ For a hyperbolic symbol the denominator Q has a simple root z0 in (0,1)
 that is dominant: every other root of Q, complex ones included, has larger
 modulus.  The census then grows like v(n) ~ A * z0^(-n) with amplitude
 A = -P(z0) / (z0 Q'(z0)).  Both facts are certified in exact integers.
-Rouché's theorem, applied to a Graeffe iterate of (1 - z) Q, gives a disk
-about 0 that holds at most one root of Q, and Q changes sign inside it.
-Bisection at dyadic points m/2^k, with Q evaluated as the integer
-2^(k deg Q) Q(m/2^k), encloses z0 in a dyadic cell of width 2^-40
-(<= 1e-12).  We return a binary64 value together with that cell.
+Rouché's theorem, applied to a Graeffe iterate of the sparser of
+(1 - z) Q and (1 - z^2) Q, gives a disk about 0 that holds at most one root
+of Q, and Q changes sign inside it.  On (0,1) that multiple M has the sign
+of Q, so two exact sign tests of M, as integers 2^(k deg M) M(m/2^k),
+certify the dyadic cell of width 2^-40 (<= 1e-12) that Newton's iteration
+in binary64 guesses; should the guess miss, a gallop and bisection from it
+find the cell.  We return a binary64 value together with that cell.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported
@@ -18,7 +20,7 @@ with their exact rate q - 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import nan
 from typing import NamedTuple
 
 from pqcensus.genfunc import Schlafli, SphericalOutOfScope
@@ -31,9 +33,20 @@ TREE = "TREE"
 _TARGET_WIDTH = Fraction(1, 10**12)
 
 # Graeffe steps tried before a denominator is refused; every census with
-# p, q <= 40 needs at most 3, but 6 would refuse dominant roots in near ties
-# such as 1/46 beside 1/45 and -1/45, which take 7
+# p, q <= 40 needs at most 3 on its sparser multiple, but 6 would refuse
+# dominant roots in near ties such as 1/46 beside 1/45 and -1/45, which take 7
 _GRAEFFE_STEPS = 8
+
+# Newton steps of the binary64 guess at z0; from 0 every census with
+# p, q <= 40 or p near 2048 converges in at most 7, and a guess that has not
+# converged only costs the exact search more steps
+_NEWTON_STEPS = 64
+
+# bits to which a binary64 guess in (0,1) is trusted: Newton's iteration
+# stops once a step moves it by at most 2^-50, its error is then a few units
+# of 2^-53, and in cells finer than 2^-50 the search gallops from the guess
+# in steps of 2^(k - 50) cells, not one
+_GUESS_BITS = 50
 
 
 class NoRootFound(ArithmeticError):
@@ -73,10 +86,12 @@ def _amplitude(gf: RationalGF, z0: Fraction) -> float:
     """A = -P(z0) / (z0 Q'(z0)), with both polynomials evaluated in integers."""
     a, b = z0.numerator, z0.denominator
     dq = gf.den.derivative()
-    # P(a/b) = p / b^deg P and z0 Q'(a/b) = a d / b^(deg Q' + 1)
+    # P(a/b) = p / b^deg P and z0 Q'(a/b) = a d / b^(deg Q' + 1); int / int
+    # rounds correctly, as Fraction.__float__ does, without a gcd
     p = _scaled_eval(gf.num.coeffs, a, b)
     d = _scaled_eval(dq.coeffs, a, b)
-    return float(Fraction(-p, a * d) * Fraction(b) ** (dq.degree + 1 - gf.num.degree))
+    e = dq.degree + 1 - gf.num.degree
+    return -p * b**e / (a * d) if e >= 0 else -p / (a * d * b**-e)
 
 
 def _scaled_eval(cs, a: int, b: int) -> int:
@@ -92,27 +107,47 @@ def _scaled_eval(cs, a: int, b: int) -> int:
     return acc
 
 
-def _rouche_disk(q: IntPoly) -> tuple[int, int, int]:
-    """(N, c, b) with N a power of 2 such that q has at most one root,
-    counted with multiplicity, in the disk |z|^N < 2c/b.
+def _dyadic_eval(m: dict[int, int], j: int, k: int) -> int:
+    """2^(k d) M(j/2^k) for the degree-d polynomial M = sum m[i] z^i.
 
-    M = (1 - z) q is a multiple of q, which is all the proof needs.  For a
-    census it has at most 6 terms, except for p = 2 (mod 4), where ``derive``
-    cancels 1 - z^2 from the common denominator and M has p/2 + 1 terms.  Its
-    k-th Graeffe iterate M_k, with M_{k+1}(z^2) = M_k(z) M_k(-z), has the
-    N-th powers of the roots of M as roots, N = 2^k.  Write M_k(w) =
-    m0 + m1 w + g(w), g of order 2, with c = |m0| and b = |m1|.  When
-    sum |g_i| (2c/b)^i < c, then on |w| = 2c/b we have
-    |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem M_k has exactly
-    one root in that disk.  Each step squares the roots, which pulls the
-    smallest one away from the rest.
+    Homogeneous Horner's rule over the nonzero terms only: an exact integer
+    with the sign of M(j/2^k), one power of j per gap between terms.
+    """
+    d = last = max(m)
+    acc = 0
+    for i in sorted(m, reverse=True):
+        acc = acc * j ** (last - i) + (m[i] << (k * (d - i)))
+        last = i
+    return acc * j**last
+
+
+def _rouche_disk(q: IntPoly) -> tuple[int, int, int, dict[int, int]]:
+    """(N, c, b, M) with N a power of 2 such that q has at most one root,
+    counted with multiplicity, in the disk |z|^N < 2c/b, and M the multiple
+    of q that proves it, as a map from exponent to nonzero coefficient.
+
+    M is the sparser of (1 - z) q and (1 - z^2) q, which is all the proof
+    needs.  For a census it has at most 6 terms: ``derive`` cancels 1 - z
+    from the common denominator, or 1 - z^2 for p = 2 (mod 4), where
+    (1 - z) q has p/2 + 1 terms.  Its k-th Graeffe iterate M_k, with
+    M_{k+1}(z^2) = M_k(z) M_k(-z), has the N-th powers of the roots of M as
+    roots, N = 2^k.  Write M_k(w) = m0 + m1 w + g(w), g of order 2, with
+    c = |m0| and b = |m1|.  When sum |g_i| (2c/b)^i < c, then on |w| = 2c/b
+    we have |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem M_k has
+    exactly one root in that disk.  Each step squares the roots, which pulls
+    the smallest one away from the rest.
     """
     cs = q.coeffs
-    m = {i: d for i, d in enumerate(u - v for u, v in zip(cs + (0,), (0,) + cs)) if d}
+
+    def times_one_minus(s: int) -> dict[int, int]:  # (1 - z^s) q
+        diffs = (u - v for u, v in zip(cs + (0,) * s, (0,) * s + cs))
+        return {i: d for i, d in enumerate(diffs) if d}
+
+    m = mult = min(times_one_minus(1), times_one_minus(2), key=len)
     for k in range(_GRAEFFE_STEPS + 1):
         n, c, b = max(m), abs(m[0]), abs(m.get(1, 0))
         if b and sum(abs(g) * (2 * c) ** i * b ** (n - i) for i, g in m.items() if i > 1) < c * b**n:
-            return 1 << k, c, b
+            return 1 << k, c, b, mult
         sq: dict[int, int] = {}
         for i, x in m.items():
             for j, y in m.items():
@@ -122,37 +157,90 @@ def _rouche_disk(q: IntPoly) -> tuple[int, int, int]:
     raise NoRootFound(f"Rouché's test isolates no root of least modulus of ({q}) in {_GRAEFFE_STEPS} Graeffe steps")
 
 
+def _float_root(m: dict[int, int]) -> float:
+    """Newton's iteration from 0 on the polynomial sum m[i] z^i in binary64.
+
+    Only a guess at z0: NaN, or a value outside (0,1), when the iteration
+    overflows, meets a zero derivative or heads for another root.
+    """
+    try:
+        c0, terms = float(m.get(0, 0)), [(i, float(d)) for i, d in m.items() if i]
+        x = 0.0
+        for _ in range(_NEWTON_STEPS):
+            f, df = c0, 0.0
+            for i, d in terms:
+                t = d * x ** (i - 1)
+                f += t * x
+                df += i * t
+            x, last = x - f / df, x
+            if abs(x - last) <= 2.0**-_GUESS_BITS:  # the next step would be about this one squared
+                break
+    except (OverflowError, ZeroDivisionError):
+        return nan
+    return x
+
+
 def _certify_smallest_root(q: IntPoly, width: Fraction = _TARGET_WIDTH) -> tuple[Fraction, Fraction]:
     """Enclose the root of q of least modulus, which must lie in (0,1], in a
     dyadic cell of width <= width.
 
     q must have q(0) > 0, as every reduced denominator does.  ``_rouche_disk``
-    gives a disk about 0 in which q has at most one root.  Bisection keeps the
-    cell (lo/2^k, (lo+1)/2^k] with q(lo/2^k) > 0: a midpoint outside the disk
-    sends it left, one inside goes by the sign of q, until 2^-k <= width.
-    Returning proves that q < 0 at the cell's right end, inside the disk, so
-    the one root of q there is real, simple and in the cell, and every other
-    root of q, complex ones included, has larger modulus.  A zero-width cell
-    is the root itself.
+    gives a disk about 0 in which q has at most one root, and a multiple M of
+    q with at most a few terms.  On 0 < x < 1, 1 - x and 1 - x^2 are
+    positive, so M(x) has the sign of q(x); at x = 1, where M vanishes, q is
+    tested itself.  A point j/2^k lies below z0 when it is 0 or lies in the
+    disk with q > 0, and above z0 otherwise.  The search starts at the cell
+    (g/2^k, (g+1)/2^k] that Newton's iteration in binary64 guesses, g =
+    floor(z 2^k), and for a census it ends there, after two exact sign tests.
+    When the guess misses, or there is none, it gallops outward from the
+    guess in doubling steps to a bracket and bisects that down to one cell;
+    with no guess this is plain bisection of [0,1].  Returning proves that
+    q < 0 at the cell's right end, inside the disk, so the one root of q
+    there is real, simple and in the cell, and every other root of q,
+    complex ones included, has larger modulus.  A tested point in the disk
+    where q vanishes is the root itself, returned as a zero-width cell.
     """
-    n, c, b = _rouche_disk(q)
+    n, c, b, m = _rouche_disk(q)
+    k = ((width.denominator - 1) // width.numerator).bit_length()  # least k with 2^-k <= width
+    one, q1 = 1 << k, sum(q.coeffs)
 
-    def inside(m: int, k: int) -> bool:
-        return m**n * b < (2 * c) << (k * n)  # (m/2^k)^n < 2c/b
+    def inside(j: int) -> bool:
+        return j**n * b < (2 * c) << (k * n)  # (j/2^k)^n < 2c/b
 
-    bits = (ceil(1 / width) - 1).bit_length()  # least k with 2^-k <= width
-    lo, k = 0, 0
-    while k < bits:
-        lo, k = 2 * lo, k + 1
-        if inside(lo + 1, k):
-            val = _scaled_eval(q.coeffs, lo + 1, 1 << k)
-            if val == 0:
-                return Fraction(lo + 1, 1 << k), Fraction(lo + 1, 1 << k)
-            if val > 0:
-                lo += 1
-    if not (inside(lo + 1, k) and _scaled_eval(q.coeffs, lo + 1, 1 << k) < 0):
+    def side(j: int) -> int:
+        """1 below z0, 0 at it and -1 above it, for the point j/2^k."""
+        if j == 0:
+            return 1
+        if not inside(j):
+            return -1
+        v = q1 if j == one else _dyadic_eval(m, j, k)
+        return (v > 0) - (v < 0)
+
+    x = _float_root(m)
+    if 0 < x < 1:
+        num, den = x.as_integer_ratio()
+        j, step = (num << k) // den, 1 << max(k - _GUESS_BITS, 0)
+    else:
+        j, step = one, one
+    lo = hi = None  # the last points tested below and above z0
+    while lo != one and (lo is None or hi is None or hi - lo > 1):
+        s = side(j)
+        if s == 0:
+            return Fraction(j, one), Fraction(j, one)
+        if s > 0:
+            lo = j
+        else:
+            hi = j
+        if hi is None:
+            j = min(lo + step, one)
+        elif lo is None:
+            j = max(hi - step, 0)
+        else:
+            j = (lo + hi) // 2
+        step *= 2
+    if lo == one or not inside(hi):
         raise NoRootFound(f"({q}) has no simple root of least modulus in (0,1]")
-    return Fraction(lo, 1 << k), Fraction(lo + 1, 1 << k)
+    return Fraction(lo, one), Fraction(hi, one)
 
 
 def palindrome_check(q: IntPoly) -> bool:

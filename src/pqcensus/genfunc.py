@@ -38,10 +38,11 @@ CASE_TRIANGLE = "TRIANGLE"
 CASE_ODD = "ODD"
 
 # the derivations build dense polynomials of degree about p, and the growth
-# analysis evaluates them at 40 bisection points (``asym`` on {2001,3},
-# {2047,7}, {1999,2048} and {2046,3}: 0.43-0.60 s end to end on 2 vCPUs,
-# most of it in those evaluations and 0.03 s in ``derive``); z0 is
-# about 1/q, certified to an absolute 2^-40 cell, so q is bounded as well
+# analysis evaluates the numerator and Q' at z0 for the amplitude (``asym``
+# on {2001,3}, {2047,7}, {1999,2048} and {2046,3}: 0.07-0.22 s end to end on
+# 2 vCPUs, 8-60 ms of it in ``growth``, mostly that amplitude, and 5-60 ms
+# in ``derive``); z0 is about 1/q, certified to an absolute 2^-40 cell, so q
+# is bounded as well
 MAX_DEGREE = 2048
 
 # vertices the oracle may build for one ``verify``, by default and at most

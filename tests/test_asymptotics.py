@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import admissible_symbols, ratio_probe, sign_changes, sturm_chain
+from pqcensus import asymptotics
 from pqcensus.asymptotics import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -30,6 +31,8 @@ WIDE_HYPERBOLIC_GRID = [
 ]
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 CELL = Fraction(1, 2**40)
+# the symbols whose ``asym`` the CI step bounds in time
+LARGE_P_SYMBOLS = [(2001, 3), (2047, 7), (1999, 2048), (2046, 3), (2048, 3), (2048, 2048)]
 
 
 def growth_of_den(*factors):
@@ -167,6 +170,87 @@ def test_graeffe_near_tie():
         _rouche_disk(nearer)
 
 
+# binary64 guesses at z0 that miss its cell, or give none; each maps the
+# guess Newton's iteration makes to the one the certifier is handed
+MISSED_GUESSES = {
+    "nan": lambda z: math.nan,
+    "zero": lambda z: 0.0,
+    "near one": lambda z: 0.999,
+    "ten": lambda z: 10.0,
+    "1000 cells above": lambda z: z + 1000 * 2.0**-40,
+    "1000 cells below": lambda z: z - 1000 * 2.0**-40,
+}
+
+
+@pytest.fixture(params=["as guessed", *sorted(MISSED_GUESSES)])
+def guess(request, monkeypatch):
+    if request.param in MISSED_GUESSES:
+        float_root, miss = asymptotics._float_root, MISSED_GUESSES[request.param]
+        monkeypatch.setattr(asymptotics, "_float_root", lambda m: miss(float_root(m)))
+
+
+def dyadic_cell(z0):
+    lo = math.floor(z0 / CELL) * CELL
+    return lo, lo + CELL
+
+
+def test_cell_does_not_depend_on_the_guess(guess):
+    # whatever the guess, the search ends in the recorded cell: the grid's
+    # references, the near tie and a large symbol
+    refs = json.loads(REFS.read_text())["z0"]
+    for s in HYPERBOLIC_GRID:
+        z0 = Fraction(refs[f"{s.p},{s.q}"]["z0"])
+        assert _certify_smallest_root(derive(s).v.den) == dyadic_cell(z0), s
+    near = IntPoly([1, -46]) * IntPoly([1, -45]) * IntPoly([1, 45])
+    assert _certify_smallest_root(near) == dyadic_cell(Fraction(1, 46))
+    m = LARGE_P_CELLS[(2001, 3)][0]
+    assert _certify_smallest_root(derive(Schlafli(2001, 3)).v.den) == (m * CELL, (m + 1) * CELL)
+    # a root on the dyadic grid is found exactly
+    half = Fraction(1, 2)
+    assert _certify_smallest_root(IntPoly([1, -2]) * IntPoly([1, 1, 1])) == (half, half)
+    # and a 10^-140 cell, far finer than any binary64 guess
+    lo, hi = _certify_smallest_root(IntPoly([1, -3]) * IntPoly([1, -2]), Fraction(1, 10**140))
+    assert lo < Fraction(1, 3) < hi and hi - lo <= Fraction(1, 10**140)
+
+
+def test_refusals_do_not_depend_on_the_guess(guess):
+    for den in ([1, 1], [1], [1, -6, 9], [1, 2, 0, -16]):  # no root, constant, (1 - 3z)^2, complex pair
+        with pytest.raises(NoRootFound):
+            _certify_smallest_root(IntPoly(den))
+    # z0 = 1 - 2^-41 lies in the last cell below 1, whose right end is a
+    # root of M and so lies outside the disk; the coarse cell (1/2, 1] of
+    # the root 3/4 ends there too
+    with pytest.raises(NoRootFound, match="no simple root"):
+        _certify_smallest_root(IntPoly([2**41 - 1, -(2**41)]))
+    with pytest.raises(NoRootFound, match="no simple root"):
+        _certify_smallest_root(IntPoly([3, -4]), Fraction(1, 2))
+
+
+def test_no_float_guess_for_huge_coefficients():
+    # coefficients past binary64's range leave no guess; bisection certifies
+    den = IntPoly([10**400, -(10**401)])
+    assert math.isnan(asymptotics._float_root(_rouche_disk(den)[3]))
+    assert _certify_smallest_root(den) == dyadic_cell(Fraction(1, 10))
+
+
+def test_guess_alone_certifies_every_census(monkeypatch):
+    # the two exact sign tests of the guessed cell certify it: any further
+    # probe of the gallop or the bisection raises
+    probes = []
+    dyadic_eval = asymptotics._dyadic_eval
+
+    def guessed_cell_only(m, j, k):
+        probes.append(Fraction(j, 1 << k))
+        if len(probes) > 2:
+            raise AssertionError("the guessed cell missed")
+        return dyadic_eval(m, j, k)
+
+    monkeypatch.setattr(asymptotics, "_dyadic_eval", guessed_cell_only)
+    for s in WIDE_HYPERBOLIC_GRID + [Schlafli(*pq) for pq in LARGE_P_SYMBOLS]:
+        probes.clear()
+        assert list(_certify_smallest_root(derive(s).v.den)) == probes, s
+
+
 # sha256 of str() of the v, a, b and c generating functions of four large
 # symbols, recorded before long division skipped zero taps and scaled the
 # dividend once; {2046,3} is the case whose (1 - z)Q is dense
@@ -228,6 +312,18 @@ def test_amplitude_approximates_census(s):
     assert rel <= 1e-6
 
 
+def test_amplitude_is_the_rounded_exact_quotient():
+    # one int division rounds as float() of the exact rational does, also
+    # for the trees' rational z0 and a numerator of higher degree than Q
+    symbols = admissible_symbols([*range(3, 13), INFINITY], range(3, 13))
+    cases = [(derive(s).v, s) for s in symbols if s.is_tree or s.hyperbolic()]
+    cases.append((gf_normalize(IntPoly([1, 2, 0, 0, 5]), IntPoly([1, -3])), Schlafli(4, 5)))
+    for gf, s in cases:
+        info = growth(gf, s)
+        z0 = sum(info.z0_interval) / 2
+        assert info.amplitude == float(-gf.num(z0) / (z0 * gf.den.derivative()(z0))), s
+
+
 @pytest.mark.parametrize("s", HYPERBOLIC_GRID, ids=str)
 def test_ratio_converges_geometrically(s):
     # exact arithmetic against a much tighter root enclosure, so the
@@ -266,10 +362,12 @@ class TestCensusDenominatorRoot:
         # rational root in (0,1); the certifier's exact-root return thus runs
         # only for the products of TestGrowth and
         # test_isolates_smallest_of_product_roots, never for a census.  The
-        # certified cell holds that root, and Rouché's test on (1 - z)Q needs
-        # at most 3 Graeffe steps.  (1 - z)Q has at most 4 terms for p = 3 or
+        # certified cell holds that root, and Rouché's test needs at most 3
+        # Graeffe steps.  (1 - z)Q has at most 4 terms for p = 3 or
         # p = 0 (mod 4) and 6 for odd p >= 5, but p/2 + 1 for p = 2 (mod 4),
-        # where derive cancels 1 - z^2 rather than 1 - z
+        # where derive cancels 1 - z^2 rather than 1 - z; the sparser of
+        # (1 - z)Q and (1 - z^2)Q, which Rouché's test runs on, has 6 terms
+        # for odd p >= 5 and 4 otherwise
         assert len(WIDE_HYPERBOLIC_GRID) == 1436
         for s in WIDE_HYPERBOLIC_GRID:
             q = derive(s).v.den
@@ -281,7 +379,9 @@ class TestCensusDenominatorRoot:
             lo, hi = _certify_smallest_root(q)
             assert sign_changes(chain, lo) == v0, s
             assert q(lo) > 0 > q(hi), s
-            assert _rouche_disk(q)[0] <= 8, s
+            n, _, _, mult = _rouche_disk(q)
+            assert n <= 8, s
+            assert len(mult) == (6 if s.p % 2 and s.p > 3 else 4), s
             terms = sum(1 for c in (IntPoly([1, -1]) * q).coeffs if c)
             if s.p == 3 or s.p % 4 == 0:
                 assert terms <= 4, s
