@@ -18,10 +18,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines, in the order of __all__
 _EXPORTS = {
-    "polyarith": (
-        "IntPoly", "RationalGF", "NotDivisible", "ZeroDenominatorConstant", "poly_div_exact", "gf_normalize",
-        "series_coeffs",
-    ),
+    "polyarith": ("IntPoly", "RationalGF", "series_coeffs"),
     "genfunc": ("INFINITY", "Schlafli", "CensusGF", "BadDegree", "SphericalOutOfScope", "derive"),
     "recurrence": ("LinRec", "rec_from_gf", "rec_eval"),
     "oracle": (

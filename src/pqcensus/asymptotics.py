@@ -5,12 +5,13 @@ that is dominant: every other root of Q, complex ones included, has larger
 modulus.  The census then grows like v(n) ~ A * z0^(-n) with amplitude
 A = -P(z0) / (z0 Q'(z0)).  Both facts are certified in exact integers.
 Rouché's theorem, applied to a Graeffe iterate of the sparser of
-(1 - z) Q and (1 - z^2) Q, gives a disk about 0 that holds at most one root
-of Q, and Q changes sign inside it.  On (0,1) that multiple M has the sign
-of Q, so two exact sign tests of M, as integers 2^(k deg M) M(m/2^k),
-certify the dyadic cell of width 2^-40 (<= 1e-12) that Newton's iteration
-in binary64 guesses; should the guess miss, a gallop and bisection from it
-find the cell.  We return a binary64 value together with that cell.
+(1 - z) Q and (1 - z^2) Q, or of the other should that one refuse, gives a
+disk about 0 that holds at most one root of Q, and Q changes sign inside
+it.  On (0,1) that multiple M has the sign of Q, so two exact sign tests of
+M, as integers 2^(k deg M) M(m/2^k), certify the dyadic cell of width 2^-40
+(<= 1e-12) that Newton's iteration in binary64 guesses; should the guess
+miss, a gallop and bisection from it find the cell.  We return a binary64
+value together with that cell.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported
@@ -121,21 +122,13 @@ def _dyadic_eval(m: dict[int, int], j: int, k: int) -> int:
     return acc * j**last
 
 
-def _rouche_disk(q: IntPoly) -> tuple[int, int, int, dict[int, int]]:
-    """(N, c, b, M) with N a power of 2 such that q has at most one root,
-    counted with multiplicity, in the disk |z|^N < 2c/b, and M the multiple
-    of q that proves it, as a map from exponent to nonzero coefficient.
+def _multiples(q: IntPoly) -> list[dict[int, int]]:
+    """(1 - z) q and (1 - z^2) q as maps from exponent to nonzero
+    coefficient, the one with fewer terms first ((1 - z) q on a tie).
 
-    M is the sparser of (1 - z) q and (1 - z^2) q, which is all the proof
-    needs.  For a census it has at most 6 terms: ``derive`` cancels 1 - z
-    from the common denominator, or 1 - z^2 for p = 2 (mod 4), where
-    (1 - z) q has p/2 + 1 terms.  Its k-th Graeffe iterate M_k, with
-    M_{k+1}(z^2) = M_k(z) M_k(-z), has the N-th powers of the roots of M as
-    roots, N = 2^k.  Write M_k(w) = m0 + m1 w + g(w), g of order 2, with
-    c = |m0| and b = |m1|.  When sum |g_i| (2c/b)^i < c, then on |w| = 2c/b
-    we have |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem M_k has
-    exactly one root in that disk.  Each step squares the roots, which pulls
-    the smallest one away from the rest.
+    For a census the first has at most 6 terms: it is the common denominator
+    M of ``derive``, which divides M by 1 - z, or by 1 - z^2 for
+    p = 2 (mod 4), where (1 - z) q has p/2 + 1 terms; for p = 3 q is M.
     """
     cs = q.coeffs
 
@@ -143,18 +136,33 @@ def _rouche_disk(q: IntPoly) -> tuple[int, int, int, dict[int, int]]:
         diffs = (u - v for u, v in zip(cs + (0,) * s, (0,) * s + cs))
         return {i: d for i, d in enumerate(diffs) if d}
 
-    m = mult = min(times_one_minus(1), times_one_minus(2), key=len)
+    return sorted((times_one_minus(1), times_one_minus(2)), key=len)
+
+
+def _rouche_disk(m: dict[int, int]) -> tuple[int, int, int]:
+    """(N, c, b) with N a power of 2 such that the polynomial M = sum m[i] z^i
+    has at most one root, counted with multiplicity, in the disk
+    |z|^N < 2c/b.
+
+    Its k-th Graeffe iterate M_k, with M_{k+1}(z^2) = M_k(z) M_k(-z), has
+    the N-th powers of the roots of M as roots, N = 2^k.  Write M_k(w) =
+    m0 + m1 w + g(w), g of order 2, with c = |m0| and b = |m1|.  When
+    sum |g_i| (2c/b)^i < c, then on |w| = 2c/b we have
+    |m0 + m1 w| >= 2c - c > |g(w)|, so by Rouché's theorem M_k has exactly
+    one root in that disk.  Each step squares the roots, which pulls the
+    smallest one away from the rest; a sparse M keeps the steps cheap.
+    """
     for k in range(_GRAEFFE_STEPS + 1):
         n, c, b = max(m), abs(m[0]), abs(m.get(1, 0))
         if b and sum(abs(g) * (2 * c) ** i * b ** (n - i) for i, g in m.items() if i > 1) < c * b**n:
-            return 1 << k, c, b, mult
+            return 1 << k, c, b
         sq: dict[int, int] = {}
         for i, x in m.items():
             for j, y in m.items():
                 if (i - j) % 2 == 0:  # odd powers of M(z) M(-z) cancel
                     sq[(i + j) // 2] = sq.get((i + j) // 2, 0) + (-x * y if j % 2 else x * y)
         m = {i: d for i, d in sq.items() if d}
-    raise NoRootFound(f"Rouché's test isolates no root of least modulus of ({q}) in {_GRAEFFE_STEPS} Graeffe steps")
+    raise NoRootFound(f"Rouché's test isolates no root of least modulus in {_GRAEFFE_STEPS} Graeffe steps")
 
 
 def _float_root(m: dict[int, int]) -> float:
@@ -184,23 +192,39 @@ def _certify_smallest_root(q: IntPoly, width: Fraction = _TARGET_WIDTH) -> tuple
     """Enclose the root of q of least modulus, which must lie in (0,1], in a
     dyadic cell of width <= width.
 
-    q must have q(0) > 0, as every reduced denominator does.  ``_rouche_disk``
-    gives a disk about 0 in which q has at most one root, and a multiple M of
-    q with at most a few terms.  On 0 < x < 1, 1 - x and 1 - x^2 are
-    positive, so M(x) has the sign of q(x); at x = 1, where M vanishes, q is
-    tested itself.  A point j/2^k lies below z0 when it is 0 or lies in the
-    disk with q > 0, and above z0 otherwise.  The search starts at the cell
-    (g/2^k, (g+1)/2^k] that Newton's iteration in binary64 guesses, g =
-    floor(z 2^k), and for a census it ends there, after two exact sign tests.
-    When the guess misses, or there is none, it gallops outward from the
-    guess in doubling steps to a bracket and bisects that down to one cell;
-    with no guess this is plain bisection of [0,1].  Returning proves that
-    q < 0 at the cell's right end, inside the disk, so the one root of q
-    there is real, simple and in the cell, and every other root of q,
-    complex ones included, has larger modulus.  A tested point in the disk
-    where q vanishes is the root itself, returned as a zero-width cell.
+    q must have q(0) > 0, as every reduced denominator does.  The proof runs
+    on the sparser of q's two multiples from ``_multiples``, and when that
+    one refuses, on the other: each gives its own Rouché disk, so q is
+    refused only when both refuse, with the sparser one's reason.
     """
-    n, c, b, m = _rouche_disk(q)
+    refusals = []
+    for m in _multiples(q):
+        try:
+            return _certify_on(q, m, width)
+        except NoRootFound as refusal:
+            refusals.append(refusal)
+    raise refusals[0]
+
+
+def _certify_on(q: IntPoly, m: dict[int, int], width: Fraction) -> tuple[Fraction, Fraction]:
+    """``_certify_smallest_root`` on the multiple m of q.
+
+    ``_rouche_disk`` gives a disk about 0 in which m, and so q, has at most
+    one root.  On 0 < x < 1, 1 - x and 1 - x^2 are positive, so m(x) has the
+    sign of q(x); at x = 1, where m vanishes, q is tested itself.  A point
+    j/2^k lies below z0 when it is 0 or lies in the disk with q > 0, and
+    above z0 otherwise.  The search starts at the cell (g/2^k, (g+1)/2^k]
+    that Newton's iteration in binary64 guesses, g = floor(z 2^k), and for a
+    census it ends there, after two exact sign tests.  When the guess
+    misses, or there is none, it gallops outward from the guess in doubling
+    steps to a bracket and bisects that down to one cell; with no guess this
+    is plain bisection of [0,1].  Returning proves that q < 0 at the cell's
+    right end, inside the disk, so the one root of q there is real, simple
+    and in the cell, and every other root of q, complex ones included, has
+    larger modulus.  A tested point in the disk where q vanishes is the root
+    itself, returned as a zero-width cell.
+    """
+    n, c, b = _rouche_disk(m)
     k = ((width.denominator - 1) // width.numerator).bit_length()  # least k with 2^-k <= width
     one, q1 = 1 << k, sum(q.coeffs)
 

@@ -12,11 +12,14 @@ whose vertices all have degree q.  Exactly one of four derivations applies:
 * p odd >= 5: a third class ``c`` appears, vertices joined to one
               same-generation "cousin".
 
-Each derivation writes down the class numerators over a common
-denominator obtained from the counting recurrences, then forms the total
-v = 1 + a + b + c as one numerator over that denominator and lets
-``gf_normalize`` cancel common factors.  The hand-reduced textbook forms
-thus become test assertions instead of code paths.
+Each derivation writes the common denominator M of its counting
+recurrences and the class numerators over it as sparse terms, at most six
+each, and v's numerator as the one sum M + a + b + c.  ``derive`` then
+divides each class's numerator and M exactly by the factors 1 - z^s that
+``_FACTORS`` lists for its case, each row proved in its case helper's
+docstring, so that the fraction comes out reduced in time linear in p.  The
+hand-reduced textbook forms thus become test assertions instead of code
+paths.
 
 ``Schlafli.case`` decides which derivation applies, for ``derive`` and the
 oracle's classifier alike.  Admissibility (2(p+q) <= pq, i.e. 1/p + 1/q <=
@@ -30,17 +33,31 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from pqcensus.polyarith import ZERO, FrozenValue, IntPoly, RationalGF, gf_normalize
+from pqcensus.polyarith import ONE, ZERO, FrozenValue, IntPoly, RationalGF
 
 CASE_TREE = "TREE"
 CASE_EVEN = "EVEN"
 CASE_TRIANGLE = "TRIANGLE"
 CASE_ODD = "ODD"
 
+# the exponents s of the factors 1 - z^s that ``derive`` divides out of the
+# numerator and the common denominator M of v, a, b and c, in that order; a
+# case helper picks its row, and its docstring proves that the row's factors
+# are the whole gcd of each numerator with M
+_FACTORS = {
+    "tree": ((), (), (), ()),
+    "p = 3": ((), (), (), ()),
+    "{3,6}": ((), (1,), (), ()),
+    "p = 0 (mod 4)": ((1,), (1,), (1,), ()),
+    "{4,4}": ((1,), (1, 1), (1,), ()),
+    "p = 2 (mod 4)": ((2,), (1,), (1,), ()),
+    "odd p >= 5": ((1,), (1,), (1,), (1,)),
+}
+
 # the derivations build dense polynomials of degree about p, and the growth
 # analysis evaluates the numerator and Q' at z0 for the amplitude (``asym``
-# on {2001,3}, {2047,7}, {1999,2048} and {2046,3}: 0.07-0.22 s end to end on
-# 2 vCPUs, 8-60 ms of it in ``growth``, mostly that amplitude, and 5-60 ms
+# on {2001,3}, {2047,7}, {1999,2048} and {2046,3}: 0.07-0.14 s end to end on
+# 2 vCPUs, 8-60 ms of it in ``growth``, mostly that amplitude, and 0.3-0.8 ms
 # in ``derive``); z0 is about 1/q, certified to an absolute 2^-40 cell, so q
 # is bounded as well
 MAX_DEGREE = 2048
@@ -155,18 +172,60 @@ class CensusGF(NamedTuple):
     c: RationalGF
 
 
-def _census(s: Schlafli, common: IntPoly, a_num: IntPoly, b_num: IntPoly = ZERO, c_num: IntPoly = ZERO) -> CensusGF:
-    """Reduce each class numerator over the common denominator, and v as
-    the one numerator common + a + b + c over it."""
-    a, b, c = (gf_normalize(num, common) for num in (a_num, b_num, c_num))
-    v = gf_normalize(common + a_num + b_num + c_num, common)
-    return CensusGF(s, v, a, b, c)
+# a polynomial as sparse terms: (exponent, coefficient) pairs, an exponent
+# possibly repeated, their coefficients then adding up
+_Terms = tuple[tuple[int, int], ...]
+
+
+def _divide(terms: _Terms, factors: tuple[int, ...]) -> IntPoly:
+    """The polynomial f of the terms divided exactly by 1 - z^s for each s in
+    factors, or ArithmeticError when one does not divide.
+
+    f = (1 - z^s) g gives g[i] = f[i] + g[i - s]: the quotient is the strided
+    prefix sums of f, and it divides exactly when the last s of them vanish.
+    """
+    f = [0] * (max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        f[e] += c
+    for s in factors:
+        for i in range(s, len(f)):
+            f[i] += f[i - s]
+        if any(f[-s:]):
+            raise ArithmeticError(f"1 - z^{s} does not divide the census fraction it was listed for")
+        del f[-s:]
+    return IntPoly(f)
+
+
+def _census(s: Schlafli, row: str, m: _Terms, a: _Terms, b: _Terms = (), c: _Terms = ()) -> CensusGF:
+    """v, a, b and c over the common denominator m, v's numerator being
+    m + a + b + c, each divided by its factors in ``_FACTORS[row]``.
+
+    m(0) = 1, so each reduced denominator keeps constant term 1, and with
+    the whole gcd divided out the fraction is the canonical one: no content
+    or sign is left to fix.
+    """
+    dens: dict[tuple[int, ...], IntPoly] = {}
+
+    def reduced(num: _Terms, factors: tuple[int, ...]) -> RationalGF:
+        if not num:
+            return RationalGF(ZERO, ONE)
+        if factors not in dens:
+            dens[factors] = _divide(m, factors)
+            assert dens[factors][0] == 1
+        return RationalGF(_divide(num, factors), dens[factors])
+
+    fv, fa, fb, fc = _FACTORS[row]
+    return CensusGF(s, reduced((*m, *a, *b, *c), fv), reduced(a, fa), reduced(b, fb), reduced(c, fc))
 
 
 def _tree(s: Schlafli) -> CensusGF:
-    """Census of the q-regular tree: a(n) = q(q-1)^(n-1) for n >= 1."""
+    """Census of the q-regular tree: a(n) = q(q-1)^(n-1) for n >= 1.
+
+    No factor: M = 1 - (q-1)z shares no root with a = qz, as M(0) = 1, nor
+    with v's numerator 1 + z, as M(-1) = q.
+    """
     q = s.q
-    return _census(s, IntPoly([1, -(q - 1)]), IntPoly([0, q]))
+    return _census(s, "tree", ((0, 1), (1, 1 - q)), ((1, q),))
 
 
 def _even(s: Schlafli) -> CensusGF:
@@ -174,19 +233,31 @@ def _even(s: Schlafli) -> CensusGF:
 
     Counting filial edges two ways and pairing each two-parent vertex with
     the face it completes gives, over a common denominator
-    1 - (q-1)z + (q-1)z^r - z^(r+1):
+    M = 1 - (q-1)z + (q-1)z^r - z^(r+1):
 
-        a = qz(1 - 2z^(r-1) + z^r) / den,   b = qz^r (1 - z) / den.
+        a = qz h / M,  h = 1 - 2z^(r-1) + z^r,   b = qz^r (1 - z) / M.
+
+    The factors: M(0) = 1, so z divides no gcd with M, and M(1) = 0.
+
+    * v: N - M = a + b = qz(1 - z^m) with m = r - 1, so gcd(N, M) =
+      gcd(M, 1 - z^m).  Modulo 1 - z^m, z^r = z and M = 1 - z^2, so the gcd
+      is 1 - z^gcd(2, m): 1 - z for p = 0 (mod 4), 1 - z^2 for p = 2 (mod 4).
+    * b: 1 - z divides b once, so the gcd is 1 - z.
+    * a: at a common root x of M and h, x^(r-1) = 1/(2 - x) (h(2) = 1), and
+      putting that into M and multiplying by 2 - x leaves
+      (1 - x)(2 - (q-2)x).  The second root 2/(q-2) is 2 for q = 3, 1 for
+      q = 4, and in (0,1) for q >= 5, where x^(r-1)(2 - x) <= 1 - (1 - x)^2
+      < 1, so h(x) > 0.  So only x = 1 is shared.  h'(1) = 2 - r and
+      M'(1) = r(q-2) - q, which vanishes exactly on Euclidean symbols, so
+      x = 1 is a double root of both only on {4,4}: the gcd is (1 - z)^2
+      there and 1 - z elsewhere.
     """
     q, r = s.q, s.p // 2
-    den = [0] * (r + 2)
-    den[0] = 1
-    den[1] -= q - 1
-    den[r] += q - 1
-    den[r + 1] -= 1
-    a_num = IntPoly([0, q] + [0] * (r - 2) + [-2 * q, q])
-    b_num = IntPoly([0] * r + [q, -q])
-    return _census(s, IntPoly(den), a_num, b_num)
+    m = ((0, 1), (1, 1 - q), (r, q - 1), (r + 1, -1))
+    a = ((1, q), (r, -2 * q), (r + 1, q))
+    b = ((r, q), (r + 1, -q))
+    row = "{4,4}" if (r, q) == (2, 4) else "p = 2 (mod 4)" if r % 2 else "p = 0 (mod 4)"
+    return _census(s, row, m, a, b)
 
 
 def _triangle(s: Schlafli) -> CensusGF:
@@ -195,13 +266,17 @@ def _triangle(s: Schlafli) -> CensusGF:
     Dropping the same-generation sibling edges merges triangle pairs into
     quadrilaterals and lowers every non-origin degree to q - 2, so the
     even-case recurrences apply with their homogeneous coefficients reduced
-    by two.  Solving them gives common denominator 1 - (q-4)z + z^2 and
+    by two.  Solving them gives common denominator M = 1 - (q-4)z + z^2 and
 
-        a = qz(1 - z) / den,   b = qz^2 / den,   v = (1 + 4z + z^2) / den.
+        a = qz(1 - z) / M,   b = qz^2 / M,   v = (1 + 4z + z^2) / M.
+
+    The factors: M(0) = 1, so b and v's numerator N, with N - M = qz, share
+    no root with M.  M(1) = 6 - q, so a's gcd is 1 - z on {3,6}, where
+    M = (1 - z)^2, and 1 otherwise.
     """
     q = s.q
-    common = IntPoly([1, -(q - 4), 1])
-    return _census(s, common, IntPoly([0, q, -q]), IntPoly([0, 0, q]))
+    m = ((0, 1), (1, 4 - q), (2, 1))
+    return _census(s, "{3,6}" if q == 6 else "p = 3", m, ((1, q), (2, -q)), ((2, q),))
 
 
 def _odd(s: Schlafli) -> CensusGF:
@@ -210,25 +285,34 @@ def _odd(s: Schlafli) -> CensusGF:
     Faces now straddle generations asymmetrically: a face's earliest or
     latest boundary feature may be a cousin edge, giving the third class c.
     Over the common denominator
-    1 - (q-1)z + 2z^r - 2z^(r+1) + (q-1)z^(2r) - z^(2r+1):
+    M = 1 - (q-1)z + 2z^r - 2z^(r+1) + (q-1)z^(2r) - z^(2r+1):
 
-        a = qz(1 + z^r)(1 - 2z^(r-1) + z^r) / den,
-        b = qz^(2r)(1 - z) / den,
-        c = 2qz^r (1 - z) / den.
+        a = qz(1 + z^r) h / M,  h = 1 - 2z^(r-1) + z^r,
+        b = qz^(2r)(1 - z) / M,
+        c = 2qz^r (1 - z) / M.
+
+    The factors: M(0) = 1, so z divides no gcd with M, and M(1) = 0, a
+    simple root: M'(1) = (2r-1)(q-1) - 2r - 3 vanishes exactly on Euclidean
+    symbols, and odd p >= 5 has none.
+
+    * v: N - M = a + b + c = qz(1 - z^m) with m = 2r - 1.  Modulo 1 - z^m,
+      M = (1 - z)(1 + z + 2z^r), and on |x| = 1, |1 + x| < 2 = |2x^r| unless
+      x = 1; the roots of 1 - z^m are simple, so the gcd is 1 - z.
+    * b and c: 1 - z divides each once, so the gcd is 1 - z.
+    * a: where x^r = -1, M(x) = (q-2)(1 - x) != 0, so 1 + z^r shares no root
+      with M.  At a common root x of M and h, x^(r-1) = 1/(2 - x), and
+      putting that into M and multiplying by (2 - x)^2 leaves
+      (1 - x)((q-2)x^2 - 4(q-2)x + 4), whose roots 2 +- 2 sqrt(1 - 1/(q-2))
+      are >= 2, where x^(r-1)(2 - x) <= 0, or in (0,1), where it is
+      <= 1 - (1 - x)^2 < 1: none is a root of h.  So the gcd is 1 - z.
     """
     q, r = s.q, (s.p - 1) // 2
-    den = [0] * (2 * r + 2)
-    den[0] = 1
-    den[1] -= q - 1
-    den[r] += 2
-    den[r + 1] -= 2
-    den[2 * r] += q - 1
-    den[2 * r + 1] -= 1
-    a_num = IntPoly([0, q]) * IntPoly([1] + [0] * (r - 1) + [1])
-    a_num = a_num * IntPoly([1] + [0] * (r - 2) + [-2, 1])
-    b_num = IntPoly([0] * (2 * r) + [q, -q])
-    c_num = IntPoly([0] * r + [2 * q, -2 * q])
-    return _census(s, IntPoly(den), a_num, b_num, c_num)
+    m = ((0, 1), (1, 1 - q), (r, 2), (r + 1, -2), (2 * r, q - 1), (2 * r + 1, -1))
+    # a = (qz + qz^(r+1))(1 - 2z^(r-1) + z^r): every product of two terms
+    a = tuple((i + j, x * y) for i, x in ((1, q), (r + 1, q)) for j, y in ((0, 1), (r - 1, -2), (r, 1)))
+    b = ((2 * r, q), (2 * r + 1, -q))
+    c = ((r, 2 * q), (r + 1, -2 * q))
+    return _census(s, "odd p >= 5", m, a, b, c)
 
 
 def derive(s: Schlafli) -> CensusGF:

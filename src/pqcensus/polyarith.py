@@ -7,8 +7,9 @@ coefficient (trailing zeros are trimmed on construction).
 
 A rational generating function is a fully reduced fraction of two such
 polynomials whose denominator has constant term exactly 1, so that Taylor
-coefficients come out of long division as plain integers.  Build one with
-``gf_normalize``; do not construct ``RationalGF`` by hand.
+coefficients come out of long division as plain integers.  ``derive`` builds
+each census one by dividing out the common factor proved for its case; one
+built any other way must come reduced, with that constant term.
 
 Everything here is immutable and side-effect free, so values can be shared
 freely across threads; the one exception, ``extend_recurrence``, appends to
@@ -17,24 +18,7 @@ the list it is given and says so.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, NamedTuple, Sequence
-
-
-class NotDivisible(ArithmeticError):
-    """Exact polynomial division was requested but a remainder survives."""
-
-
-class ZeroDenominatorConstant(ZeroDivisionError):
-    """A rational function whose denominator vanishes at z=0 has no power series."""
-
-
-class NonUnitDenominator(ArithmeticError):
-    """After full reduction the denominator's constant term is not +-1.
-
-    Such a fraction has no integer-coefficient power series, so it cannot be
-    represented here.  Never happens for the census generating functions.
-    """
 
 
 class FrozenValue:
@@ -149,94 +133,12 @@ ZERO = IntPoly()
 ONE = IntPoly([1])
 
 
-def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Return q with a = q*b, raising NotDivisible if no such integer q exists.
-
-    A failed division here almost always means a formula was derived wrong
-    upstream, so the error message keeps both operands.
-    """
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q, r = _long_div(a.coeffs, b.coeffs, 1)
-    if any(r):
-        raise NotDivisible(f"({a}) is not divisible by ({b})")
-    return IntPoly(q)
-
-
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Greatest common divisor over Q, returned primitive with positive lead.
-
-    Euclidean algorithm on integer pseudo-remainders, each made primitive
-    before the next step; at p near 2048 (degrees near 2000), the gcds of
-    one ``derive`` take under 0.1 s on 2 vCPUs.
-    """
-    fa = primitive(list(a.coeffs))
-    fb = primitive(list(b.coeffs))
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        fa, fb = fb, primitive(pseudo_rem(fa, fb))
-    if not fa:
-        return ZERO
-    if fa[-1] < 0:
-        fa = [-c for c in fa]
-    return IntPoly(fa)
-
-
-def primitive(cs: list[int]) -> list[int]:
-    """Coefficient list cs, trimmed and divided by its positive content."""
-    while cs and cs[-1] == 0:
-        cs.pop()
-    g = gcd(*cs)
-    return [c // g for c in cs] if g > 1 else cs
-
-
-def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """|lc(b)|^e (a mod b over Q), e = max(deg a - deg b + 1, 0), as a trimmed
-    list of integer coefficients.
-
-    The scale is positive, never a power of a negative lead, so the result
-    keeps the signs of the remainder over Q: a Sturm chain built from it
-    counts roots correctly (the tests' reference count does), and a gcd
-    (defined up to sign) does not mind it.
-    """
-    _, r = _long_div(a, b, abs(b[-1]))
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _long_div(a: Sequence[int], b: Sequence[int], s: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of s^e * a by b, e = max(deg a - deg b + 1, 0),
-    by long division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
-
-    The dividend is scaled once, and each quotient term is top // lc(b),
-    exact for s = |lc(b)|.  An inexact term (s = 1) leaves its residue at
-    degree >= deg b in the remainder, which is returned untrimmed, as long as
-    a.  Zero tops are skipped and only b's nonzero taps are subtracted.
-    """
-    db = len(b) - 1
-    e = len(a) - db
-    r = list(a)
-    if e > 0 and s != 1:
-        f = s**e
-        r = [c * f for c in a]
-    taps = [(j, c) for j, c in enumerate(b) if c]
-    q = [0] * e
-    for k in range(e - 1, -1, -1):
-        top = r[k + db]
-        if top:
-            t = q[k] = top // b[-1]
-            for j, c in taps:
-                r[k + j] -= t * c
-    return q, r
-
-
 class RationalGF(NamedTuple):
     """Reduced rational function P(z)/Q(z) with Q(0) = 1.
 
-    Instances come from ``gf_normalize``; the fields are the canonical
-    representative, so field-wise equality is equality of rational functions.
+    Instances come from ``derive``, fully reduced; the fields are the
+    canonical representative, so field-wise equality is equality of rational
+    functions.
     """
 
     num: IntPoly
@@ -244,34 +146,6 @@ class RationalGF(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
-
-
-def gf_normalize(num: IntPoly, den: IntPoly) -> RationalGF:
-    """Reduce num/den to the canonical RationalGF form.
-
-    Removes the full polynomial gcd (computed over the rationals, so any
-    common factor such as 1-z or 1+z goes in one pass), divides out common
-    integer content, and fixes the denominator's constant term to 1.
-    """
-    if den.is_zero or den[0] == 0:
-        raise ZeroDenominatorConstant("denominator vanishes at z=0")
-    if num.is_zero:
-        return RationalGF(ZERO, ONE)
-    g = poly_gcd(num, den)
-    if g.degree >= 1:
-        num = poly_div_exact(num, g)
-        den = poly_div_exact(den, g)
-    c = gcd(*num.coeffs, *den.coeffs)
-    if c > 1:
-        num = IntPoly([x // c for x in num.coeffs])
-        den = IntPoly([x // c for x in den.coeffs])
-    if den[0] < 0:
-        num, den = -num, -den
-    if den[0] != 1:
-        raise NonUnitDenominator(
-            f"reduced denominator ({den}) has constant term {den[0]}, not 1"
-        )
-    return RationalGF(num, den)
 
 
 def series_coeffs(gf: RationalGF, n_max: int) -> list[int]:

@@ -4,11 +4,13 @@ reference implementations that the library itself does not need."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 from pqcensus import INFINITY, Schlafli
 from pqcensus.genfunc import derive
 from pqcensus.oracle import _CLASSES, CensusReport, PlanarMap, VertexProfile, _type_of
-from pqcensus.polyarith import RationalGF, gf_normalize, primitive, pseudo_rem
+from pqcensus.polyarith import ONE, ZERO, IntPoly, RationalGF
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
 
@@ -266,6 +268,163 @@ def fibonacci_check(q0: int, n_max: int) -> bool:
     while len(fib) <= 2 * n_max:
         fib.append(fib[-1] + fib[-2])
     return all(v[n] == q * fib[2 * n] for n in range(1, n_max + 1))
+
+
+class NotDivisible(ArithmeticError):
+    """Exact polynomial division was requested but a remainder survives."""
+
+
+class ZeroDenominatorConstant(ZeroDivisionError):
+    """A rational function whose denominator vanishes at z=0 has no power series."""
+
+
+class NonUnitDenominator(ArithmeticError):
+    """After full reduction the denominator's constant term is not +-1.
+
+    Such a fraction has no integer-coefficient power series, so it cannot be
+    a ``RationalGF``.  Never happens for the census generating functions.
+    """
+
+
+def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Return q with a = q*b, raising NotDivisible if no such integer q exists.
+
+    A failed division here almost always means a formula was derived wrong
+    upstream, so the error message keeps both operands.
+    """
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q, r = _long_div(a.coeffs, b.coeffs, 1)
+    if any(r):
+        raise NotDivisible(f"({a}) is not divisible by ({b})")
+    return IntPoly(q)
+
+
+def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Greatest common divisor over Q, returned primitive with positive lead.
+
+    Euclidean algorithm on integer pseudo-remainders, each made primitive
+    before the next step.  The reference that ``derive``'s factor table is
+    pinned against: on {1999,2048} its remainders swell to about 22,000-bit
+    coefficients, which is why ``derive`` divides by proved factors instead.
+    """
+    fa = primitive(list(a.coeffs))
+    fb = primitive(list(b.coeffs))
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while fb:
+        fa, fb = fb, primitive(pseudo_rem(fa, fb))
+    if not fa:
+        return ZERO
+    if fa[-1] < 0:
+        fa = [-c for c in fa]
+    return IntPoly(fa)
+
+
+def primitive(cs: list[int]) -> list[int]:
+    """Coefficient list cs, trimmed and divided by its positive content."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^e (a mod b over Q), e = max(deg a - deg b + 1, 0), as a trimmed
+    list of integer coefficients.
+
+    The scale is positive, never a power of a negative lead, so the result
+    keeps the signs of the remainder over Q: a Sturm chain built from it
+    counts roots correctly (``sturm_chain`` does), and a gcd (defined up to
+    sign) does not mind it.
+    """
+    _, r = _long_div(a, b, abs(b[-1]))
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _long_div(a: Sequence[int], b: Sequence[int], s: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of s^e * a by b, e = max(deg a - deg b + 1, 0),
+    by long division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+
+    The dividend is scaled once, and each quotient term is top // lc(b),
+    exact for s = |lc(b)|.  An inexact term (s = 1) leaves its residue at
+    degree >= deg b in the remainder, which is returned untrimmed, as long as
+    a.  Zero tops are skipped and only b's nonzero taps are subtracted.
+    """
+    db = len(b) - 1
+    e = len(a) - db
+    r = list(a)
+    if e > 0 and s != 1:
+        f = s**e
+        r = [c * f for c in a]
+    taps = [(j, c) for j, c in enumerate(b) if c]
+    q = [0] * e
+    for k in range(e - 1, -1, -1):
+        top = r[k + db]
+        if top:
+            t = q[k] = top // b[-1]
+            for j, c in taps:
+                r[k + j] -= t * c
+    return q, r
+
+
+def gf_normalize(num: IntPoly, den: IntPoly) -> RationalGF:
+    """Reduce num/den to the canonical RationalGF form.
+
+    Removes the full polynomial gcd (computed over the rationals, so any
+    common factor such as 1-z or 1+z goes in one pass), divides out common
+    integer content, and fixes the denominator's constant term to 1.  The
+    general reduction that ``derive``'s proved factor table must agree with.
+    """
+    if den.is_zero or den[0] == 0:
+        raise ZeroDenominatorConstant("denominator vanishes at z=0")
+    if num.is_zero:
+        return RationalGF(ZERO, ONE)
+    g = poly_gcd(num, den)
+    if g.degree >= 1:
+        num = poly_div_exact(num, g)
+        den = poly_div_exact(den, g)
+    c = gcd(*num.coeffs, *den.coeffs)
+    if c > 1:
+        num = IntPoly([x // c for x in num.coeffs])
+        den = IntPoly([x // c for x in den.coeffs])
+    if den[0] < 0:
+        num, den = -num, -den
+    if den[0] != 1:
+        raise NonUnitDenominator(
+            f"reduced denominator ({den}) has constant term {den[0]}, not 1"
+        )
+    return RationalGF(num, den)
+
+
+def coxeter_growth(s: Schlafli) -> RationalGF:
+    """Growth series of the Coxeter group whose Cayley graph is {p,q}, p = 2m:
+
+        v(z) = [2][m] / ([2][m] - q z [m] + q z^m),  [k] = 1 + z + ... + z^(k-1),
+
+    reduced by ``gf_normalize``.  The reflections in the sides of a regular
+    q-gon with angles pi/m generate W = <s_1..s_q | s_i^2, (s_i s_(i+1))^m>;
+    its copies tile the plane as {q,2m}, so W's Cayley graph is the dual
+    {2m,q}, rooted at the identity.  Steinberg's formula sums over the finite
+    parabolic subgroups: the trivial one, the q of order 2 and the q
+    dihedral ones of order 2m.  Independent of ``genfunc``'s case helpers.
+    """
+    m, q = s.p // 2, s.q
+    bracket_m = IntPoly([1] * m)
+    num = IntPoly([1, 1]) * bracket_m
+    den = num + IntPoly([0, -q]) * bracket_m + IntPoly([0] * m + [q])
+    return gf_normalize(num, den)
+
+
+def cannon_wagreich(g: int) -> RationalGF:
+    """Growth series of the genus-g surface group, the census of {4g,4g}
+    (Cannon and Wagreich): (1 + 2z + ... + 2z^(2g-1) + z^(2g)) /
+    (1 - (4g-2)(z + ... + z^(2g-1)) + z^(2g)), reduced by ``gf_normalize``."""
+    num = IntPoly([1] + [2] * (2 * g - 1) + [1])
+    den = IntPoly([1] + [-(4 * g - 2)] * (2 * g - 1) + [1])
+    return gf_normalize(num, den)
 
 
 def reference_series(num, den, n_max: int) -> list[int]:

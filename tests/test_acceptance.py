@@ -16,7 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import admissible_symbols, face_extremes_audit, fibonacci_check, latest_vertex_face_audit, type_of
+from conftest import (
+    admissible_symbols,
+    face_extremes_audit,
+    fibonacci_check,
+    gf_normalize,
+    latest_vertex_face_audit,
+    poly_div_exact,
+    type_of,
+)
 from pqcensus.asymptotics import EUCLIDEAN, HYPERBOLIC, growth
 from pqcensus.genfunc import INFINITY, Schlafli, derive
 from pqcensus.oracle import (
@@ -26,12 +34,7 @@ from pqcensus.oracle import (
     build_map,
     classify,
 )
-from pqcensus.polyarith import (
-    IntPoly,
-    gf_normalize,
-    poly_div_exact,
-    series_coeffs,
-)
+from pqcensus.polyarith import IntPoly, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 FULL_GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import admissible_symbols, ratio_probe, sign_changes, sturm_chain
+from conftest import admissible_symbols, gf_normalize, ratio_probe, sign_changes, sturm_chain
 from pqcensus import asymptotics
 from pqcensus.asymptotics import (
     EUCLIDEAN,
@@ -15,12 +15,13 @@ from pqcensus.asymptotics import (
     TREE,
     NoRootFound,
     _certify_smallest_root,
+    _multiples,
     _rouche_disk,
     growth,
     palindrome_check,
 )
 from pqcensus.genfunc import INFINITY, Schlafli, derive
-from pqcensus.polyarith import IntPoly, gf_normalize
+from pqcensus.polyarith import IntPoly
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 HYPERBOLIC_GRID = [
@@ -154,7 +155,7 @@ def test_large_p_cells(pq):
     den = derive(s).v.den
     m, n = LARGE_P_CELLS[pq]
     assert _certify_smallest_root(den) == (m * CELL, (m + 1) * CELL)
-    assert _rouche_disk(den)[0] == n
+    assert _rouche_disk(_multiples(den)[0])[0] == n
 
 
 def test_graeffe_near_tie():
@@ -162,12 +163,15 @@ def test_graeffe_near_tie():
     # isolated after 7 steps (N = 128), one short of the limit; ten times
     # closer, 1/460 beside 1/459 and -1/459, it is refused
     near = IntPoly([1, -46]) * IntPoly([1, -45]) * IntPoly([1, 45])
-    assert _rouche_disk(near)[0] == 128
+    assert _rouche_disk(_multiples(near)[0])[0] == 128
     lo, hi = _certify_smallest_root(near)
     assert lo <= Fraction(1, 46) <= hi and hi - lo <= CELL
     nearer = IntPoly([1, -460]) * IntPoly([1, -459]) * IntPoly([1, 459])
+    for m in _multiples(nearer):
+        with pytest.raises(NoRootFound, match="in 8 Graeffe steps"):
+            _rouche_disk(m)
     with pytest.raises(NoRootFound, match="in 8 Graeffe steps"):
-        _rouche_disk(nearer)
+        _certify_smallest_root(nearer)
 
 
 # binary64 guesses at z0 that miss its cell, or give none; each maps the
@@ -226,10 +230,24 @@ def test_refusals_do_not_depend_on_the_guess(guess):
         _certify_smallest_root(IntPoly([3, -4]), Fraction(1, 2))
 
 
+def test_refused_only_when_both_multiples_refuse():
+    # at width 1/2 the sparser multiple's disk can leave out a cell that the
+    # other's holds: for the first q, (1 - z^2)q has 7 terms against the 8
+    # of (1 - z)q, and its disk misses 1/2, while (1 - z)q certifies
+    # (0, 1/2]; the other two are certified by their sparser multiple
+    half = Fraction(1, 2)
+    first = IntPoly([3, -8, -6, 4, 1, 4, 1])
+    assert len(_multiples(first)[0]) == 7
+    with pytest.raises(NoRootFound):
+        asymptotics._certify_on(first, _multiples(first)[0], half)
+    for q in (first, IntPoly([1, -3, 0, -3] + [0] * 27 + [-1]), IntPoly([1, -2, 0, -2, 0, 0, 1])):
+        assert _certify_smallest_root(q, half) == (0, half), q
+
+
 def test_no_float_guess_for_huge_coefficients():
     # coefficients past binary64's range leave no guess; bisection certifies
     den = IntPoly([10**400, -(10**401)])
-    assert math.isnan(asymptotics._float_root(_rouche_disk(den)[3]))
+    assert math.isnan(asymptotics._float_root(_multiples(den)[0]))
     assert _certify_smallest_root(den) == dyadic_cell(Fraction(1, 10))
 
 
@@ -379,8 +397,8 @@ class TestCensusDenominatorRoot:
             lo, hi = _certify_smallest_root(q)
             assert sign_changes(chain, lo) == v0, s
             assert q(lo) > 0 > q(hi), s
-            n, _, _, mult = _rouche_disk(q)
-            assert n <= 8, s
+            mult = _multiples(q)[0]
+            assert _rouche_disk(mult)[0] <= 8, s
             assert len(mult) == (6 if s.p % 2 and s.p > 3 else 4), s
             terms = sum(1 for c in (IntPoly([1, -1]) * q).coeffs if c)
             if s.p == 3 or s.p % 4 == 0:

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gf_normalize
 from pqcensus import cli, oracle
 from pqcensus.genfunc import Schlafli, derive
 from pqcensus.oracle import StructureViolation, VertexProfile
-from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
+from pqcensus.polyarith import IntPoly, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"

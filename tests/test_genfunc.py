@@ -3,7 +3,8 @@ import pickle
 
 import pytest
 
-from conftest import admissible_symbols
+from conftest import admissible_symbols, cannon_wagreich, coxeter_growth, gf_normalize
+from pqcensus import genfunc
 from pqcensus.genfunc import (
     CASE_EVEN,
     CASE_ODD,
@@ -17,7 +18,7 @@ from pqcensus.genfunc import (
 )
 from pqcensus.asymptotics import growth
 from pqcensus.oracle import build_map
-from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
+from pqcensus.polyarith import IntPoly, series_coeffs
 
 GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
 
@@ -277,3 +278,67 @@ def test_census_reciprocal_large_p(pq):
 def test_tree_census_not_reciprocal():
     # (1 + z)/(1 - 2z): the tree's growth series has no such symmetry
     assert not reciprocal(derive(Schlafli(INFINITY, 3)).v)
+
+
+# symbols past the p, q <= 40 grid: p of every residue mod 4 near the cap,
+# q from 3 to the cap, and mixed sizes
+LARGE_P = [(2001, 3), (2046, 3), (2048, 3), (2048, 2048), (1999, 2048), (2047, 7), (1024, 1025), (8, 2048)]
+
+
+def unreduced(s, monkeypatch):
+    """derive(s) with every row of the factor table emptied: each class as
+    its numerator over the common denominator M, as the case helper wrote it."""
+    with monkeypatch.context() as patch:
+        for row in genfunc._FACTORS:
+            patch.setitem(genfunc._FACTORS, row, ((), (), (), ()))
+        return derive(s)
+
+
+def test_factor_table_is_the_gcd(monkeypatch):
+    # the proved rows divide out exactly what the general gcd reduction does,
+    # on every symbol with p, q <= 40, past it and on trees
+    grid = admissible_symbols(range(3, 41), range(3, 41))
+    assert len(grid) == 1439
+    trees = admissible_symbols([INFINITY], range(3, 41))
+    for s in grid + trees + [Schlafli(*pq) for pq in LARGE_P]:
+        plain, cgf = unreduced(s, monkeypatch), derive(s)
+        for gf, ref in zip(cgf[1:], plain[1:]):
+            assert gf == gf_normalize(ref.num, ref.den), s
+
+
+@pytest.mark.parametrize(
+    "pq, row, wrong",
+    [
+        ((7, 3), "odd p >= 5", ((1,), (2,), (1,), (1,))),  # a: 1 - z^2 where only 1 - z divides
+        ((8, 3), "p = 0 (mod 4)", ((2,), (1,), (1,), ())),  # v: 1 - z^2 is p = 2 (mod 4)'s
+        ((6, 4), "p = 2 (mod 4)", ((2,), (1, 1), (1,), ())),  # a: (1 - z)^2 is {4,4}'s
+        ((3, 7), "p = 3", ((), (), (1,), ())),  # b: qz^2 has no factor 1 - z
+    ],
+    ids=["{7,3} a", "{8,3} v", "{6,4} a", "{3,7} b"],
+)
+def test_wrong_factor_row_raises(monkeypatch, pq, row, wrong):
+    # a factor that does not divide leaves a nonzero prefix sum: derive
+    # raises instead of returning a wrong fraction
+    monkeypatch.setitem(genfunc._FACTORS, row, wrong)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        derive(Schlafli(*pq))
+
+
+# even p past the p, q <= 40 grid, both residues mod 4, with q from small to the cap
+COXETER_SAMPLE = [(p, (3, 5, 17, 2048)[i % 4]) for i, p in enumerate(range(42, 2049, 98))]
+
+
+def test_even_census_is_a_coxeter_growth_series():
+    # p = 2m: the census of {p,q} is the growth series of the Coxeter group
+    # generated by the reflections in a q-gon's sides, by Steinberg's formula
+    grid = admissible_symbols(range(4, 41, 2), range(3, 41))
+    assert len(grid) == 721
+    extra = [(2048, 3), (2046, 3), (2048, 2048), (1024, 1025), (8, 2048)] + COXETER_SAMPLE
+    for s in grid + [Schlafli(*pq) for pq in extra]:
+        assert derive(s).v == coxeter_growth(s), s
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 5])
+def test_surface_group_growth_series(g):
+    # {4g,4g} is the Cayley graph of the genus-g surface group (g = 1: {4,4})
+    assert derive(Schlafli(4 * g, 4 * g)).v == cannon_wagreich(g)

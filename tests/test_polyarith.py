@@ -7,20 +7,19 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import gf_add, reference_series
-from pqcensus.genfunc import Schlafli, derive
-from pqcensus.polyarith import (
-    IntPoly,
+from conftest import (
     NonUnitDenominator,
     NotDivisible,
-    RationalGF,
     ZeroDenominatorConstant,
+    gf_add,
     gf_normalize,
     poly_div_exact,
     poly_gcd,
     pseudo_rem,
-    series_coeffs,
+    reference_series,
 )
+from pqcensus.genfunc import Schlafli, derive
+from pqcensus.polyarith import IntPoly, RationalGF, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

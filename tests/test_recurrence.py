@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import admissible_symbols, fibonacci_check
+from conftest import admissible_symbols, fibonacci_check, gf_normalize
 from pqcensus.genfunc import INFINITY, Schlafli, derive
-from pqcensus.polyarith import IntPoly, gf_normalize, series_coeffs
+from pqcensus.polyarith import IntPoly, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
 
 GRID = admissible_symbols(list(range(3, 13)) + [INFINITY], range(3, 13))
