@@ -63,9 +63,14 @@ _FACTORS = {
 MAX_DEGREE = 2048
 
 # vertices the oracle may build for one ``verify``, by default and at most
-# (a {8,8} build peaks at about 45 bytes a vertex, so about 460 MB at the
-# cap); they live here, beside the other bound, so that the CLI's parser
-# reads them without importing the oracle
+# (a {8,8} build peaks at about 45 bytes a vertex, so about 450 MB at the
+# cap; {3,q} maps have about 4 half-edges a vertex, and ``verify 3 2048
+# --depth 2`` peaks at about 670 MB; on large p the map also keeps a
+# template of each forced row's shape, and ``verify 2048 2048`` peaks at
+# about 330 MB at depth 0, one row of 4.19 million vertices, and at about
+# 790 MB at depth 1, which stops at the cap); they live here, beside the
+# other bound, so that the CLI's parser reads them without importing the
+# oracle
 DEFAULT_VERTEX_BUDGET = 200_000
 MAX_VERTEX_BUDGET = 10_000_000
 

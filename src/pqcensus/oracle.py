@@ -32,8 +32,9 @@ face numbers its new vertices and half-edges in one fixed order from the
 next free ids, the whole row is one arithmetic pattern.  v's next face
 closes it, glued along the row's last edge and the boundary edge out of
 v; unless that run goes on across a neighbor with q edges, it too is
-fixed.  ``_attach_fan`` writes the row and that face as one block: the
-same ids in the same order as face by face.  It writes only a row that fits
+fixed.  ``_attach_fan`` writes the row and that face as one block, from a
+template of the row's shape that the map builds once (``_Fan``): the same
+ids in the same order as face by face.  It writes only a row that fits
 the vertex budget; a row that the budget cuts goes face by face through
 ``_attach_face``, which stops at the first face that would overrun it.
 The map holds its budget, and every step checks it before it changes the
@@ -65,11 +66,18 @@ half-edge, degree, gap half-edge and one outgoing half-edge per vertex,
 and no Python object per vertex, per half-edge or per face.  A {8,8} map
 has about 2.5 half-edges a vertex, so the columns hold about 32 bytes a
 vertex.  Each attach step appends its new slots to each column in one
-call: a ``fromlist`` of a Python list built for the step, or a leaf's
-single ``append``.  Ids are C ints, so a map holds at most 2^31 - 1
-half-edges, about 9 x 10^8 vertices, far past the 10^7 cap on the vertex
-budget.  Faces are not stored either: each closed face is a ``next``
-cycle, and Euler's formula V - E + F = 1 for a disk counts them.
+call.  A face takes a ``fromlist`` of a Python list built for it, and a
+leaf a single ``append``.  A row of faces takes one ``frombytes`` of its
+shape's template, an int whose lanes are the column's C ints, shifted to
+the row's first new ids by adding that id times an int of ones: a few
+big-int operations a column and no Python int per slot.  The map keeps
+each shape's template, which on large p, where one row holds millions of
+vertices, takes about 1.4 times the row's own slots.  Ids are C ints, so
+a map holds at most 2^31 - 1 half-edges, about 9 x 10^8 vertices, far
+past the 10^7 cap on the vertex budget; like ``fromlist``, a row checks
+that its last new ids fit before it writes.  Faces are not stored
+either: each closed face is a ``next`` cycle, and Euler's formula
+V - E + F = 1 for a disk counts them.
 Half-edges come in twin pairs, twin(h) = h ^ 1.  ``next`` runs along the
 incident face cycle (closed faces and the outer boundary both form cycles)
 and is the only pointer stored: rotation around a vertex steps from an
@@ -86,7 +94,7 @@ import sys
 from array import array
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import NamedTuple
 
 from pqcensus.genfunc import (
@@ -178,6 +186,7 @@ class PlanarMap:
         # the seed edge, a vertex is saturated exactly when this is -1
         self._v_gap = array("i", [-1])
         self._v_half = array("i", [-1])  # any outgoing half-edge
+        self._fans: dict[tuple[int, bool], _Fan] = {}  # row templates by shape (r, close)
 
     # -- read-only surface ------------------------------------------------
 
@@ -341,11 +350,23 @@ class PlanarMap:
         stops at the first that would overrun the budget.
 
         The caller has checked that v and the tail u0 of the boundary edge
-        e into v both have fewer than q edges.  Face j is glued along e_j
-        alone (e_0 = e, then the new edge ts_{j-1}[0] into v) and adds the
-        path chain_j = v, w_j[0 .. m - 1], u0_j of m = p - 2 new vertices,
-        with u0_0 = u0 and u0_j = w_{j-1}[0].  Its new half-edges are
-        cs_j[i] = cs[j(m+1) + i] from chain_j[i] and their twins ts_j[i].
+        e into v both have fewer than q edges.  The row's r = q - deg(v)
+        faces and its closing face are laid out by ``_Fan``, one template
+        per shape (r, close) that the map builds the first time it meets
+        it; the row is that template shifted to the next free ids, with the
+        few slots that hold older ids (v, u0, e, h_out, x, next(h_out))
+        set afterwards.
+
+        The row leaves v with q edges and one gap, ts_{r-1}[0], so v's
+        closing face is glued along it and h_out.  When the head x of h_out
+        has fewer than q edges the run stops there, and the face adds the
+        path x, z[0 .. m - 2], w_{r-1}[0].  For a run that swallows x, a
+        budget that stops the face, or x = u0 (its degree just changed),
+        the caller's next step is ``_attach_face`` itself.  On p = 3 the
+        closing face adds no vertex, only the chord x w_{r-1}[0], and
+        ``_attach_face`` would check that the chord is new.  Here it always
+        is: w_{r-1}[0] is a new vertex whose only neighbors are v and
+        u0_{r-1}, which is u0 (r = 1, and x != u0) or another new vertex.
         """
         q, m = self.symbol.q, self.symbol.p - 2
         M = m + 1  # new edges per face
@@ -360,68 +381,33 @@ class PlanarMap:
         nv1 = nv0 + r * m
         if nv1 > self.budget:
             return self._attach_face(v)
-        # As in _attach_face, each column gets one list in one ``fromlist``.
-        # Each list starts from the one-face pattern shifted by one slot (the
-        # slot shifted in is overwritten), then one strided slice per
-        # exception sets what differs from it.
-        h0 = len(origin)
-        cs, ts = list(range(h0, h0 + 2 * r * M, 2)), list(range(h0 + 1, h0 + 2 * r * M, 2))
-        es = [e, *ts[0 : (r - 1) * M : M]]  # e_j
-        # origin: chain_j[i] along cs, chain_j[i + 1] along ts
-        ocs = list(chain.from_iterable(zip(repeat(v, r), *[iter(range(nv0, nv1))] * m)))
-        ots = ocs[1:] + [u0]
-        ots[m::M] = [u0, *ocs[1 : (r - 1) * M : M]]
-        # next: the face cycle closes through e_j; the boundary runs
-        # ts_j[m] .. ts_j[0], except that face j + 1 is glued along ts_j[0],
-        # so ts_j[1] is followed by ts_{j+1}[m]
-        ncs = cs[1:] + [e]
-        ncs[m::M] = es
-        nts = [h_out] + ts[:-1]
-        nts[0::M] = [*cs[M::M], h_out]
-        nts[1 : (r - 1) * M : M] = ts[2 * M - 1 :: M]
-        degs = [2] * (r * m)
-        degs[0 : (r - 1) * m : m] = [3] * (r - 1)  # u0_j for j > 0
-        # for i < m, ts_j[i] runs out of w_j[i] and ts_j[i + 1] into it
-        outs, ins = ts[:-1], ts[1:]
-        del outs[m::M], ins[m::M]
-        # The row leaves v with q edges and one gap, ts_{r-1}[0], so v's
-        # closing face is glued along it and h_out.  When the head x of
-        # h_out has fewer than q edges the run stops there, and the face adds
-        # the path x, z[0 .. m - 2], w_{r-1}[0] with half-edges cz, tz,
-        # appended after the row as ``_attach_face`` would.  For a run that
-        # swallows x, a budget that stops the face, x = u0 (its degree just
-        # changed) or p = 3 (the face adds no vertex, only a chord to check),
-        # the caller's next step is ``_attach_face`` itself.
         x = origin[h_out ^ 1]
-        close = m > 1 and x != u0 and deg[x] < q and nv1 + m - 1 <= self.budget
-        if close:
-            h1 = h0 + 2 * r * M
-            cz, tz = list(range(h1, h1 + 2 * m, 2)), list(range(h1 + 1, h1 + 2 * m, 2))
-            path = [x, *range(nv1, nv1 + m - 1), nv1 - m]
-            ocs += path[:-1]
-            ots += path[1:]
-            ncs += [*cz[1:], ts[-M]]
-            nts += [nxt[h_out], *tz[:-1]]
-            nts[(r - 1) * M + 1] = tz[-1]  # the boundary into w_{r-1}[0]
-            degs[-m] = 3  # w_{r-1}[0]
-            degs += [2] * (m - 1)
-            outs += tz[:-1]
-            ins += tz[1:]
-        _append_pairs(origin, ocs, ots)
-        _append_pairs(nxt, ncs, nts)
-        nxt[e], nxt[gap[u0]] = cs[0], ts[m]
-        deg.fromlist(degs)
+        close = x != u0 and deg[x] < q and nv1 + m - 1 <= self.budget
+        fan = self._fans.get((r, close))
+        if fan is None:
+            fan = self._fans[r, close] = _Fan(m, r, close)
+        h0 = len(origin)
+        fan.write(origin, nxt, deg, self._v_half, gap, h0, nv0)
+        # the slots that hold older ids: cs_j[0] runs out of v, ts_0[m] out
+        # of u0, and the face cycle of face 0 closes through e; the row's
+        # last new edge into v is followed by h_out
+        origin[h0 : h0 + 2 * r * M : 2 * M] = array("i", [v]) * r
+        origin[h0 + 2 * m + 1] = u0
+        nxt[h0 + 2 * m] = e
+        nxt[h0 + 2 * (r - 1) * M + 1] = h_out
+        nxt[e], nxt[gap[u0]] = h0, h0 + 2 * m + 1
         deg[v] = q
         deg[u0] += 1
-        self._v_half.fromlist(outs)
-        gap.fromlist(ins)
         # u0 keeps its gap; v's runs in from the last face until it closes
         if close:
-            nxt[h_out] = cz[0]
+            h1 = h0 + 2 * r * M  # cz[0], out of x
+            origin[h1] = x
+            # h_out is neither e nor gap[u0], which run into v and u0
+            nxt[h1 + 1], nxt[h_out] = nxt[h_out], h1
             deg[x] += 1
-            gap[v], gap[x] = -1, tz[0]
+            gap[v], gap[x] = -1, h1 + 1
         else:
-            gap[v] = ts[-M]
+            gap[v] = h0 + 2 * (r - 1) * M + 1
 
     def _attach_leaf(self, v: int):
         """Hang one new leaf off vertex v (a tree step, and every map's seed edge).
@@ -496,6 +482,103 @@ class PlanarMap:
                 return
             self._saturate(targets)
         raise RuntimeError("growth failed to reach the requested depth")
+
+
+class _Fan:
+    """The new slots of one forced row shape at base 0: r single-edge faces
+    of m = p - 2 new vertices each, and the face that closes v if ``close``.
+
+    Face j is glued along e_j alone (e_0 = e, then the new edge ts_{j-1}[0]
+    into v) and adds the path chain_j = v, w_j[0 .. m - 1], u0_j, with
+    u0_0 = u0 and u0_j = w_{j-1}[0].  Its new half-edges are
+    cs_j[i] = cs[j(m+1) + i] from chain_j[i] and their twins ts_j[i].  The
+    closing face adds the path x, z[0 .. m - 2], w_{r-1}[0], with
+    half-edges cz[i] from its i-th vertex and twins tz[i].  At base 0 the
+    new half-edges are numbered 0, 1, .. and the new vertices w_j[i] = jm + i
+    and z[i] = rm + i.  Every new slot of a row is its template value plus
+    h0, the row's first half-edge id (``next``, gap and outgoing half-edge),
+    or nv0, its first vertex id (origin); degrees do not shift, and a new
+    vertex's gap half-edge is its outgoing one + 2.  The few slots that hold
+    older ids hold a new id here and are set by ``_attach_fan``.
+
+    Each column's template is one int whose lanes are the column's C ints
+    in native byte order, so that a row is written with one ``frombytes``
+    of template + base * ones a column.  Every lane holds a new id, in
+    [0, 2^31) once shifted, so no lane carries into the next.  The
+    templates are built by strided assignments of ``range``s, with no
+    Python int per slot.
+    """
+
+    __slots__ = ("half_edges", "vertices", "origin", "next", "half", "deg", "ones_he", "ones_v")
+
+    def __init__(self, m: int, r: int, close: bool):
+        M = m + 1
+        n = r * M  # the row's new edges
+        he = self.half_edges = 2 * (n + m * close)
+        nv = self.vertices = r * m + (m - 1) * close
+        zero = bytes(he * array("i").itemsize)
+        # origin: cs_j[0] out of v, cs_j[i + 1] and ts_j[i] out of w_j[i],
+        # ts_j[m] out of u0_j
+        o = array("i", zero)
+        for i in range(m):
+            w = array("i", range(i, r * m, m))
+            o[2 * i + 2 : 2 * n : 2 * M] = w
+            o[2 * i + 1 : 2 * n : 2 * M] = w
+        o[2 * (M + m) + 1 : 2 * n : 2 * M] = array("i", range(0, (r - 1) * m, m))
+        # next: each face cycle runs cs_j[0] .. cs_j[m], e_j; the boundary
+        # runs ts_j[m] .. ts_j[0] into v, except that face j + 1 is glued
+        # along ts_j[0], so ts_j[0] is followed by cs_{j+1}[0] and ts_j[1]
+        # by ts_{j+1}[m]
+        nx = array("i", zero)
+        nx[0 : 2 * n : 2] = array("i", range(2, 2 * n + 2, 2))  # cs_j[i + 1]
+        nx[2 * (M + m) : 2 * n : 2 * M] = array("i", range(1, 2 * (r - 1) * M, 2 * M))  # e_j
+        nx[3 : 2 * n : 2] = array("i", range(1, 2 * n - 2, 2))  # ts_j[i - 1]
+        nx[1 : 2 * (r - 1) * M : 2 * M] = array("i", range(2 * M, 2 * n, 2 * M))  # cs_{j+1}[0]
+        nx[3 : 2 * (r - 1) * M : 2 * M] = array("i", range(4 * M - 1, 2 * n, 2 * M))  # ts_{j+1}[m]
+        nx[2 * m] = 0  # e: cs_1[0] would be past a row of one face
+        # degrees: the u0_j of later faces have 3 edges, the rest 2
+        d = array("i", [2]) * nv
+        d[0 : (r - 1) * m : m] = array("i", [3]) * (r - 1)
+        # outgoing half-edge: ts_j[i] runs out of w_j[i] (its gap half-edge,
+        # ts_j[i + 1], is the next lane's, so the gap column is this one + 2)
+        h = array("i", range(1, 2 * n, 2))
+        del h[m::M]
+        if close:
+            # x, z[i] and w_{r-1}[0] along cz; the face cycle closes through
+            # ts_{r-1}[0] and h_out, and the boundary runs tz[m - 1] .. tz[0]
+            # from ts_{r-1}[m] on to next(h_out)
+            o[2 * n + 2 :: 2] = array("i", range(r * m, r * m + m - 1))  # cz[i + 1] out of z[i]
+            o[2 * n + 1 : he - 1 : 2] = array("i", range(r * m, r * m + m - 1))  # tz[i] out of z[i]
+            o[he - 1] = (r - 1) * m  # tz[m - 1] out of w_{r-1}[0]
+            nx[2 * n :: 2] = array("i", range(2 * n + 2, 2 * n + 2 * m + 2, 2))  # cz[i + 1]
+            nx[he - 2] = 2 * (r - 1) * M + 1  # cz[m - 1] -> ts_{r-1}[0]
+            nx[2 * n + 3 :: 2] = array("i", range(2 * n + 1, 2 * n + 2 * m - 1, 2))  # tz[i - 1]
+            nx[2 * (r - 1) * M + 3] = he - 1  # ts_{r-1}[1] -> tz[m - 1]
+            d[(r - 1) * m] = 3
+            h.extend(range(2 * n + 1, he - 1, 2))
+        order = sys.byteorder
+        self.origin = int.from_bytes(o.tobytes(), order)
+        self.next = int.from_bytes(nx.tobytes(), order)
+        self.half = int.from_bytes(h.tobytes(), order)
+        self.deg = d.tobytes()
+        one = array("i", [1])
+        self.ones_he = int.from_bytes((one * he).tobytes(), order)
+        self.ones_v = int.from_bytes((one * nv).tobytes(), order)
+
+    def write(self, origin: array, nxt: array, deg: array, half: array, gap: array, h0: int, nv0: int):
+        """Append the row's new slots to the five columns, shifted to the
+        first new half-edge id h0 and vertex id nv0.  Like ``fromlist``, it
+        raises OverflowError, before it writes, for an id past the C int
+        range."""
+        itemsize, order = origin.itemsize, sys.byteorder
+        if max(h0 + self.half_edges, nv0 + self.vertices) > 1 << (8 * itemsize - 1):
+            raise OverflowError("signed integer is greater than maximum")
+        he, nv = self.half_edges * itemsize, self.vertices * itemsize
+        origin.frombytes((self.origin + nv0 * self.ones_he).to_bytes(he, order))
+        nxt.frombytes((self.next + h0 * self.ones_he).to_bytes(he, order))
+        deg.frombytes(self.deg)
+        half.frombytes((self.half + h0 * self.ones_v).to_bytes(nv, order))
+        gap.frombytes((self.half + (h0 + 2) * self.ones_v).to_bytes(nv, order))
 
 
 def _append_pairs(col: array, even: list[int], odd: list[int]):

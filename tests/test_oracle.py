@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -28,6 +29,7 @@ from pqcensus.oracle import (
     PlanarMap,
     StructureViolation,
     VertexProfile,
+    _Fan,
     bfs_census,
     build_map,
     build_tree,
@@ -61,6 +63,27 @@ def build_or_partial(pq, depth, budget=DEFAULT_VERTEX_BUDGET):
         return build_map(Schlafli(*pq), depth, budget)
     except BudgetExceeded as exc:
         return exc.partial_map
+
+
+def columns(m):
+    return (m._he_origin, m._he_next, m._v_deg, m._v_gap, m._v_half)
+
+
+def row_state(s, r, close):
+    """A map in which vertex 1 has q - r edges and is about to take its row
+    of r faces: the seed edge alone for r = q - 1, else the first face with
+    q - 2 - r single-edge faces glued at 1.  Unless ``close``, the budget
+    holds the row and nothing more."""
+    if r == s.q - 1:
+        m = PlanarMap(s)
+        m._attach_leaf(0)
+        return m
+    m = first_face(s)
+    for _ in range(s.q - 2 - r):
+        m._attach_face(1)
+    if not close:
+        m.budget = m.vertex_count + r * (s.p - 2)
+    return m
 
 
 def first_face(s):
@@ -167,15 +190,20 @@ class TestBuildMap:
     def test_bytes_per_vertex(self):
         # the five columns hold 4-byte C ints, about 32 bytes a vertex of
         # {8,8}; the build's peak adds each growth round's BFS distance
-        # list and the columns' spare capacity
-        tracemalloc.start()
-        try:
-            m = build_map(Schlafli(8, 8), 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m.vertex_count == 16_009
-        assert peak <= 64 * m.vertex_count, f"{peak / m.vertex_count:.0f} bytes a vertex"
+        # list and the columns' spare capacity.  {512,512} at depth 0 is
+        # one forced row of 260,100 vertices: its peak adds the row's
+        # template, kept by the map, and the row's bytes as they are
+        # written, with no Python int per slot
+        for pq, depth, budget, size, bound in [((8, 8), 3, DEFAULT_VERTEX_BUDGET, 16_009, 64),
+                                               ((512, 512), 0, None, 261_121, 96)]:
+            tracemalloc.start()
+            try:
+                m = build_map(Schlafli(*pq), depth, budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m.vertex_count == size
+            assert peak <= bound * m.vertex_count, f"{pq}: {peak / m.vertex_count:.0f} bytes a vertex"
 
     # Vertex ids and rotation order are part of the output (dumps,
     # perfbench references), so however the builder glues faces it must
@@ -285,6 +313,65 @@ class TestBuildMap:
         m._saturate([1])
         assert m.vertex_count == size and m._v_gap[1] < 0
         check_map_structure(m)
+
+    def test_fan_is_face_by_face_gluing(self, monkeypatch):
+        # every forced row of the grid's maps, glued one face at a time
+        # instead of written from its template: the same five columns, id
+        # for id
+        grid = admissible_symbols(range(3, 9), range(3, 9))
+        fanned = [build_map(s, 3) for s in grid]
+        assert all(m._fans for m in fanned)
+        monkeypatch.setattr(PlanarMap, "_attach_fan", PlanarMap._attach_face)
+        for s, m in zip(grid, fanned):
+            assert columns(m) == columns(build_map(s, 3)), s
+
+    @pytest.mark.parametrize("pq", [(3, 7), (4, 7), (5, 7), (8, 7), (2048, 5)], ids=str)
+    def test_every_row_shape(self, pq):
+        # Vertex 1 takes a row of r faces, with or without the face that
+        # closes it: the seed edge's leaf for r = q - 1, whose row ends at
+        # its own tail, else a vertex of the first face after q - 2 - r
+        # single-edge faces.  A budget that holds the row but not the
+        # closing face's m - 1 vertices leaves it open; on p = 3 that face
+        # adds no vertex, and only a full successor could leave a row open,
+        # which a triangle cannot swallow.
+        s = Schlafli(*pq)
+        p, q = pq
+        shapes = [(q - 1, False)] + [(r, close) for r in range(1, q - 1) for close in (True, False) if close or p > 3]
+        for r, close in shapes:
+            fan, faces = (row_state(s, r, close) for _ in range(2))
+            fan._attach_fan(1)
+            for _ in range(r + close):
+                faces._attach_face(1)
+            assert list(fan._fans) == [(r, close)]
+            assert columns(fan) == columns(faces), (r, close)
+            assert (fan._v_gap[1] < 0) == close
+            check_map_structure(fan)
+            if r < q - 1 and not close:
+                with pytest.raises(BudgetExceeded):
+                    faces._attach_face(1)
+
+    def test_row_ids_stay_c_ints(self):
+        # ``fromlist`` refuses an id past 2^31 - 1, where ``frombytes``
+        # would wrap it, so the lane writer checks the row's last new ids
+        # before it writes.  A row that ends at the last C int is written
+        # as its template shifted, lane for lane.
+        fan = _Fan(6, 5, True)
+        top = 2**31 - 1
+        low = [array("i") for _ in range(5)]
+        fan.write(*low, 0, 0)
+        high = [array("i") for _ in range(5)]
+        h0, nv0 = top + 1 - fan.half_edges, top + 1 - fan.vertices
+        fan.write(*high, h0, nv0)
+        assert max(high[1]) == top
+        assert list(high[0]) == [w + nv0 for w in low[0]]
+        assert high[2] == low[2]
+        for col in (1, 3, 4):
+            assert list(high[col]) == [h + h0 for h in low[col]]
+        for bases in [(h0 + 1, 0), (0, nv0 + 1)]:
+            cols = [array("i") for _ in range(5)]
+            with pytest.raises(OverflowError):
+                fan.write(*cols, *bases)
+            assert not any(cols)
 
     def test_rejects_spherical(self):
         with pytest.raises(SphericalOutOfScope):
