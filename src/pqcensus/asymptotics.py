@@ -11,7 +11,10 @@ it.  On (0,1) that multiple M has the sign of Q, so two exact sign tests of
 M, as integers 2^(k deg M) M(m/2^k), certify the dyadic cell of width 2^-40
 (<= 1e-12) that Newton's iteration in binary64 guesses; should the guess
 miss, a gallop and bisection from it find the cell.  We return a binary64
-value together with that cell.
+value together with that cell, and A at its midpoint, read off the same
+sparse M = (1 - z^s) Q and N = (1 - z^s) P.  One evaluator, b^d f(a/b) over
+the nonzero terms of f, serves the sign tests and A, so nothing evaluates
+the dense P, Q or Q', whose degree is about p.
 
 Euclidean symbols are classified symbolically (z = 1 is then a multiple
 root of Q and root-hunting near it would be ill-posed); trees are reported
@@ -83,60 +86,59 @@ def growth(gf: RationalGF, s: Schlafli) -> GrowthInfo:
     return GrowthInfo(HYPERBOLIC, float(mid), (lo, hi), float(1 / mid), _amplitude(gf, mid))
 
 
-def _amplitude(gf: RationalGF, z0: Fraction) -> float:
-    """A = -P(z0) / (z0 Q'(z0)), with both polynomials evaluated in integers."""
-    a, b = z0.numerator, z0.denominator
-    dq = gf.den.derivative()
-    # P(a/b) = p / b^deg P and z0 Q'(a/b) = a d / b^(deg Q' + 1); int / int
-    # rounds correctly, as Fraction.__float__ does, without a gcd
-    p = _scaled_eval(gf.num.coeffs, a, b)
-    d = _scaled_eval(dq.coeffs, a, b)
-    e = dq.degree + 1 - gf.num.degree
-    return -p * b**e / (a * d) if e >= 0 else -p / (a * d * b**-e)
+def _amplitude(gf: RationalGF, x: Fraction) -> float:
+    """A = -P(x) / (x Q'(x)) for gf = P/Q, read off the sparser multiple
+    M = (1 - z^s) Q from ``_multiples`` and N = (1 - z^s) P.
 
-
-def _scaled_eval(cs, a: int, b: int) -> int:
-    """b^d * P(a/b) for the degree-d polynomial P with coefficients cs.
-
-    Homogeneous Horner's rule: an exact integer with the sign of P(a/b)
-    for b > 0, computed without any rational arithmetic.
+    With r = 1 - x^s, P = N/r and Q = M/r give
+    A = -N(x) r / (x M'(x) r + s x^s M(x)).  For x = a/b, u = b^s r and
+    w = s a^s, b^(d+s) times that denominator, d = deg M, is b^d G(x) for
+    the polynomial G whose term i is the term i of M times i u + w.  It is
+    the same rational number, and int / int rounds it as Fraction.__float__
+    does, without a gcd.
     """
-    acc, bpow = 0, 1
-    for c in reversed(cs):
-        acc = acc * a + c * bpow
-        bpow *= b
-    return acc
+    s, m = _multiples(gf.den)[0]
+    n = _times_one_minus(gf.num, s)
+    a, b = x.numerator, x.denominator
+    u, w = b**s - a**s, s * a**s
+    top = -_sparse_eval(n, a, b) * u
+    bottom = _sparse_eval({i: (i * u + w) * c for i, c in m.items()}, a, b)
+    e = max(m) - max(n)  # deg Q - deg P
+    return top * b**e / bottom if e >= 0 else top / (bottom * b**-e)
 
 
-def _dyadic_eval(m: dict[int, int], j: int, k: int) -> int:
-    """2^(k d) M(j/2^k) for the degree-d polynomial M = sum m[i] z^i.
+def _sparse_eval(f: dict[int, int], a: int, b: int) -> int:
+    """b^d f(a/b) for the degree-d polynomial f = sum f[i] z^i.
 
     Homogeneous Horner's rule over the nonzero terms only: an exact integer
-    with the sign of M(j/2^k), one power of j per gap between terms.
+    with the sign of f(a/b) for b > 0, one power of a and one of b per gap
+    between terms.
     """
-    d = last = max(m)
-    acc = 0
-    for i in sorted(m, reverse=True):
-        acc = acc * j ** (last - i) + (m[i] << (k * (d - i)))
+    last = max(f)
+    acc, bpow = 0, 1
+    for i in sorted(f, reverse=True):
+        gap = last - i
+        bpow *= b**gap
+        acc = acc * a**gap + f[i] * bpow
         last = i
-    return acc * j**last
+    return acc * a**last
 
 
-def _multiples(q: IntPoly) -> list[dict[int, int]]:
-    """(1 - z) q and (1 - z^2) q as maps from exponent to nonzero
-    coefficient, the one with fewer terms first ((1 - z) q on a tie).
+def _times_one_minus(f: IntPoly, s: int) -> dict[int, int]:
+    """(1 - z^s) f as a map from exponent to nonzero coefficient."""
+    cs = f.coeffs
+    return {i: u - v for i, (u, v) in enumerate(zip(cs + (0,) * s, (0,) * s + cs)) if u != v}
+
+
+def _multiples(q: IntPoly) -> list[tuple[int, dict[int, int]]]:
+    """The pairs (s, (1 - z^s) q) for s = 1 and 2, the multiple with fewer
+    terms first ((1 - z) q on a tie).
 
     For a census the first has at most 6 terms: it is the common denominator
     M of ``derive``, which divides M by 1 - z, or by 1 - z^2 for
     p = 2 (mod 4), where (1 - z) q has p/2 + 1 terms; for p = 3 q is M.
     """
-    cs = q.coeffs
-
-    def times_one_minus(s: int) -> dict[int, int]:  # (1 - z^s) q
-        diffs = (u - v for u, v in zip(cs + (0,) * s, (0,) * s + cs))
-        return {i: d for i, d in enumerate(diffs) if d}
-
-    return sorted((times_one_minus(1), times_one_minus(2)), key=len)
+    return sorted(((s, _times_one_minus(q, s)) for s in (1, 2)), key=lambda sm: len(sm[1]))
 
 
 def _rouche_disk(m: dict[int, int]) -> tuple[int, int, int]:
@@ -198,7 +200,7 @@ def _certify_smallest_root(q: IntPoly, width: Fraction = _TARGET_WIDTH) -> tuple
     refused only when both refuse, with the sparser one's reason.
     """
     refusals = []
-    for m in _multiples(q):
+    for _, m in _multiples(q):
         try:
             return _certify_on(q, m, width)
         except NoRootFound as refusal:
@@ -237,7 +239,7 @@ def _certify_on(q: IntPoly, m: dict[int, int], width: Fraction) -> tuple[Fractio
             return 1
         if not inside(j):
             return -1
-        v = q1 if j == one else _dyadic_eval(m, j, k)
+        v = q1 if j == one else _sparse_eval(m, j, one)
         return (v > 0) - (v < 0)
 
     x = _float_root(m)

@@ -55,11 +55,11 @@ _FACTORS = {
 }
 
 # the derivations build dense polynomials of degree about p, and the growth
-# analysis evaluates the numerator and Q' at z0 for the amplitude (``asym``
-# on {2001,3}, {2047,7}, {1999,2048} and {2046,3}: 0.07-0.14 s end to end on
-# 2 vCPUs, 8-60 ms of it in ``growth``, mostly that amplitude, and 0.3-0.8 ms
-# in ``derive``); z0 is about 1/q, certified to an absolute 2^-40 cell, so q
-# is bounded as well
+# analysis evaluates sparse multiples of Q and P in integers of about 41p
+# bits (``asym`` on {2001,3}, {2047,7}, {1999,2048} and {2046,3}:
+# 0.05-0.06 s end to end on 2 vCPUs, 1-5 ms of it in ``growth`` and
+# 0.3-0.8 ms in ``derive``); z0 is about 1/q, certified to an absolute 2^-40
+# cell, so q is bounded as well
 MAX_DEGREE = 2048
 
 # vertices the oracle may build for one ``verify``, by default and at most

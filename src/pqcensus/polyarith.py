@@ -50,8 +50,9 @@ class FrozenValue:
 class IntPoly(FrozenValue):
     """Dense integer polynomial; ``IntPoly([1, -3, 1])`` is 1 - 3z + z^2.
 
-    Immutable: equal polynomials compare and hash equal by ``coeffs``.
-    ``+`` and ``*`` take two polynomials, never an int.
+    Immutable: equal polynomials compare and hash equal by ``coeffs``.  It
+    has no arithmetic: ``genfunc`` and ``asymptotics`` compute on sparse
+    (exponent, coefficient) terms instead.
     """
 
     __slots__ = ("coeffs",)
@@ -78,36 +79,12 @@ class IntPoly(FrozenValue):
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] + other[i] for i in range(n)])
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> IntPoly:
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self) -> str:
         return f"IntPoly('{self}')"

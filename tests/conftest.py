@@ -370,6 +370,33 @@ def _long_div(a: Sequence[int], b: Sequence[int], s: int) -> tuple[list[int], li
     return q, r
 
 
+def poly_add(*fs: IntPoly) -> IntPoly:
+    """Sum of the polynomials fs."""
+    n = max((len(f.coeffs) for f in fs), default=0)
+    return IntPoly([sum(f[i] for f in fs) for i in range(n)])
+
+
+def poly_neg(f: IntPoly) -> IntPoly:
+    return IntPoly([-c for c in f.coeffs])
+
+
+def poly_mul(*fs: IntPoly) -> IntPoly:
+    """Product of the polynomials fs, by schoolbook multiplication."""
+    out = [1]
+    for f in fs:
+        prod = [0] * (len(out) + len(f.coeffs) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(f.coeffs):
+                    prod[i + j] += a * b
+        out = prod
+    return IntPoly(out)
+
+
+def poly_derivative(f: IntPoly) -> IntPoly:
+    return IntPoly([i * c for i, c in enumerate(f.coeffs)][1:])
+
+
 def gf_normalize(num: IntPoly, den: IntPoly) -> RationalGF:
     """Reduce num/den to the canonical RationalGF form.
 
@@ -391,7 +418,7 @@ def gf_normalize(num: IntPoly, den: IntPoly) -> RationalGF:
         num = IntPoly([x // c for x in num.coeffs])
         den = IntPoly([x // c for x in den.coeffs])
     if den[0] < 0:
-        num, den = -num, -den
+        num, den = poly_neg(num), poly_neg(den)
     if den[0] != 1:
         raise NonUnitDenominator(
             f"reduced denominator ({den}) has constant term {den[0]}, not 1"
@@ -413,8 +440,8 @@ def coxeter_growth(s: Schlafli) -> RationalGF:
     """
     m, q = s.p // 2, s.q
     bracket_m = IntPoly([1] * m)
-    num = IntPoly([1, 1]) * bracket_m
-    den = num + IntPoly([0, -q]) * bracket_m + IntPoly([0] * m + [q])
+    num = poly_mul(IntPoly([1, 1]), bracket_m)
+    den = poly_add(num, poly_mul(IntPoly([0, -q]), bracket_m), IntPoly([0] * m + [q]))
     return gf_normalize(num, den)
 
 
@@ -445,7 +472,7 @@ def reference_series(num, den, n_max: int) -> list[int]:
 
 def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
     """Sum of two generating functions, reduced by ``gf_normalize``."""
-    return gf_normalize(a.num * b.den + b.num * a.den, a.den * b.den)
+    return gf_normalize(poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)), poly_mul(a.den, b.den))
 
 
 def ratio_probe(rec: LinRec, n: int) -> float:

@@ -22,7 +22,9 @@ from conftest import (
     fibonacci_check,
     gf_normalize,
     latest_vertex_face_audit,
+    poly_add,
     poly_div_exact,
+    poly_mul,
     type_of,
 )
 from pqcensus.asymptotics import EUCLIDEAN, HYPERBOLIC, growth
@@ -143,13 +145,16 @@ def test_class_sum_identity():
         t0 = time.perf_counter()
         for s in FULL_GRID:
             c = derive(s)
-            scale = c.a.den * c.b.den * c.c.den
-            lhs = c.v.num * scale
-            rhs = c.v.den * (
-                scale
-                + c.a.num * c.b.den * c.c.den
-                + c.a.den * c.b.num * c.c.den
-                + c.a.den * c.b.den * c.c.num
+            scale = poly_mul(c.a.den, c.b.den, c.c.den)
+            lhs = poly_mul(c.v.num, scale)
+            rhs = poly_mul(
+                c.v.den,
+                poly_add(
+                    scale,
+                    poly_mul(c.a.num, c.b.den, c.c.den),
+                    poly_mul(c.a.den, c.b.num, c.c.den),
+                    poly_mul(c.a.den, c.b.den, c.c.num),
+                ),
             )
             assert lhs == rhs, str(s)
         assert time.perf_counter() - t0 < 1.0
@@ -213,14 +218,14 @@ def test_property_suite(oracle_grid):
     with acceptance("property-suite"):
         # normalization is idempotent and reduction-stable on every census gf
         sample_pairs = [
-            (IntPoly([1, 1]) * IntPoly([1, 0, 0, -1]), IntPoly([1, -3, 0, 3, -1])),
+            (poly_mul(IntPoly([1, 1]), IntPoly([1, 0, 0, -1])), IntPoly([1, -3, 0, 3, -1])),
             (IntPoly([2, 2]), IntPoly([2, -2])),
             (IntPoly([0, 5, -5]), IntPoly([1, -4, 1])),
         ]
         for s in FULL_GRID:
             c = derive(s)
             sample_pairs.append((c.v.num, c.v.den))
-            sample_pairs.append((c.a.num * c.b.den, c.a.den * c.b.den))
+            sample_pairs.append((poly_mul(c.a.num, c.b.den), poly_mul(c.a.den, c.b.den)))
         for num, den in sample_pairs:
             gf = gf_normalize(num, den)
             assert gf_normalize(gf.num, gf.den) == gf
@@ -229,7 +234,7 @@ def test_property_suite(oracle_grid):
         polys = [IntPoly([1, -1]), IntPoly([1, 1]), IntPoly([1, -3, 1]), IntPoly([2, 0, 5])]
         for a in polys:
             for b in polys:
-                assert poly_div_exact(a * b, b) == a
+                assert poly_div_exact(poly_mul(a, b), b) == a
         # recurrence replay equals series division out to n = 200, full grid
         for s in FULL_GRID:
             gf = derive(s).v

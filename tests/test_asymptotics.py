@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import admissible_symbols, gf_normalize, ratio_probe, sign_changes, sturm_chain
+from conftest import (
+    admissible_symbols,
+    gf_normalize,
+    poly_derivative,
+    poly_mul,
+    ratio_probe,
+    sign_changes,
+    sturm_chain,
+)
 from pqcensus import asymptotics
 from pqcensus.asymptotics import (
     EUCLIDEAN,
@@ -32,14 +40,13 @@ WIDE_HYPERBOLIC_GRID = [
 ]
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 CELL = Fraction(1, 2**40)
-# the symbols whose ``asym`` the CI step bounds in time
+# the hyperbolic symbols whose ``asym`` the CI step bounds in time, which
+# also runs the tree {inf,2048}
 LARGE_P_SYMBOLS = [(2001, 3), (2047, 7), (1999, 2048), (2046, 3), (2048, 3), (2048, 2048)]
 
 
 def growth_of_den(*factors):
-    den = IntPoly([1])
-    for f in factors:
-        den = den * IntPoly(f)
+    den = poly_mul(*map(IntPoly, factors))
     return growth(gf_normalize(IntPoly([1]), den), Schlafli(4, 5))
 
 
@@ -132,9 +139,7 @@ def test_isolates_smallest_of_product_roots(rates, negative_roots, complex_pair)
     # and 1/max(rates) is of least modulus exactly when every negative root
     # -1/b lies farther out (the roots of 1 + z + z^2 lie on |z| = 1)
     factors = [[1, -a] for a in rates] + [[1, b] for b in negative_roots]
-    den = IntPoly([1, 1, 1]) if complex_pair else IntPoly([1])
-    for f in factors:
-        den = den * IntPoly(f)
+    den = poly_mul(IntPoly([1, 1, 1] if complex_pair else [1]), *map(IntPoly, factors))
     if all(b < max(rates) for b in negative_roots):
         lo, hi = _certify_smallest_root(den)
         assert lo <= Fraction(1, max(rates)) <= hi
@@ -155,19 +160,19 @@ def test_large_p_cells(pq):
     den = derive(s).v.den
     m, n = LARGE_P_CELLS[pq]
     assert _certify_smallest_root(den) == (m * CELL, (m + 1) * CELL)
-    assert _rouche_disk(_multiples(den)[0])[0] == n
+    assert _rouche_disk(_multiples(den)[0][1])[0] == n
 
 
 def test_graeffe_near_tie():
     # the near tie that sets _GRAEFFE_STEPS: 1/46 beside 1/45 and -1/45 is
     # isolated after 7 steps (N = 128), one short of the limit; ten times
     # closer, 1/460 beside 1/459 and -1/459, it is refused
-    near = IntPoly([1, -46]) * IntPoly([1, -45]) * IntPoly([1, 45])
-    assert _rouche_disk(_multiples(near)[0])[0] == 128
+    near = poly_mul(IntPoly([1, -46]), IntPoly([1, -45]), IntPoly([1, 45]))
+    assert _rouche_disk(_multiples(near)[0][1])[0] == 128
     lo, hi = _certify_smallest_root(near)
     assert lo <= Fraction(1, 46) <= hi and hi - lo <= CELL
-    nearer = IntPoly([1, -460]) * IntPoly([1, -459]) * IntPoly([1, 459])
-    for m in _multiples(nearer):
+    nearer = poly_mul(IntPoly([1, -460]), IntPoly([1, -459]), IntPoly([1, 459]))
+    for _, m in _multiples(nearer):
         with pytest.raises(NoRootFound, match="in 8 Graeffe steps"):
             _rouche_disk(m)
     with pytest.raises(NoRootFound, match="in 8 Graeffe steps"):
@@ -205,15 +210,15 @@ def test_cell_does_not_depend_on_the_guess(guess):
     for s in HYPERBOLIC_GRID:
         z0 = Fraction(refs[f"{s.p},{s.q}"]["z0"])
         assert _certify_smallest_root(derive(s).v.den) == dyadic_cell(z0), s
-    near = IntPoly([1, -46]) * IntPoly([1, -45]) * IntPoly([1, 45])
+    near = poly_mul(IntPoly([1, -46]), IntPoly([1, -45]), IntPoly([1, 45]))
     assert _certify_smallest_root(near) == dyadic_cell(Fraction(1, 46))
     m = LARGE_P_CELLS[(2001, 3)][0]
     assert _certify_smallest_root(derive(Schlafli(2001, 3)).v.den) == (m * CELL, (m + 1) * CELL)
     # a root on the dyadic grid is found exactly
     half = Fraction(1, 2)
-    assert _certify_smallest_root(IntPoly([1, -2]) * IntPoly([1, 1, 1])) == (half, half)
+    assert _certify_smallest_root(poly_mul(IntPoly([1, -2]), IntPoly([1, 1, 1]))) == (half, half)
     # and a 10^-140 cell, far finer than any binary64 guess
-    lo, hi = _certify_smallest_root(IntPoly([1, -3]) * IntPoly([1, -2]), Fraction(1, 10**140))
+    lo, hi = _certify_smallest_root(poly_mul(IntPoly([1, -3]), IntPoly([1, -2])), Fraction(1, 10**140))
     assert lo < Fraction(1, 3) < hi and hi - lo <= Fraction(1, 10**140)
 
 
@@ -237,9 +242,9 @@ def test_refused_only_when_both_multiples_refuse():
     # (0, 1/2]; the other two are certified by their sparser multiple
     half = Fraction(1, 2)
     first = IntPoly([3, -8, -6, 4, 1, 4, 1])
-    assert len(_multiples(first)[0]) == 7
+    assert len(_multiples(first)[0][1]) == 7
     with pytest.raises(NoRootFound):
-        asymptotics._certify_on(first, _multiples(first)[0], half)
+        asymptotics._certify_on(first, _multiples(first)[0][1], half)
     for q in (first, IntPoly([1, -3, 0, -3] + [0] * 27 + [-1]), IntPoly([1, -2, 0, -2, 0, 0, 1])):
         assert _certify_smallest_root(q, half) == (0, half), q
 
@@ -247,7 +252,7 @@ def test_refused_only_when_both_multiples_refuse():
 def test_no_float_guess_for_huge_coefficients():
     # coefficients past binary64's range leave no guess; bisection certifies
     den = IntPoly([10**400, -(10**401)])
-    assert math.isnan(asymptotics._float_root(_multiples(den)[0]))
+    assert math.isnan(asymptotics._float_root(_multiples(den)[0][1]))
     assert _certify_smallest_root(den) == dyadic_cell(Fraction(1, 10))
 
 
@@ -255,15 +260,15 @@ def test_guess_alone_certifies_every_census(monkeypatch):
     # the two exact sign tests of the guessed cell certify it: any further
     # probe of the gallop or the bisection raises
     probes = []
-    dyadic_eval = asymptotics._dyadic_eval
+    sparse_eval = asymptotics._sparse_eval
 
-    def guessed_cell_only(m, j, k):
-        probes.append(Fraction(j, 1 << k))
+    def guessed_cell_only(f, a, b):
+        probes.append(Fraction(a, b))
         if len(probes) > 2:
             raise AssertionError("the guessed cell missed")
-        return dyadic_eval(m, j, k)
+        return sparse_eval(f, a, b)
 
-    monkeypatch.setattr(asymptotics, "_dyadic_eval", guessed_cell_only)
+    monkeypatch.setattr(asymptotics, "_sparse_eval", guessed_cell_only)
     for s in WIDE_HYPERBOLIC_GRID + [Schlafli(*pq) for pq in LARGE_P_SYMBOLS]:
         probes.clear()
         assert list(_certify_smallest_root(derive(s).v.den)) == probes, s
@@ -332,14 +337,36 @@ def test_amplitude_approximates_census(s):
 
 def test_amplitude_is_the_rounded_exact_quotient():
     # one int division rounds as float() of the exact rational does, also
-    # for the trees' rational z0 and a numerator of higher degree than Q
+    # for the trees' rational z0, a numerator of higher degree than Q and
+    # large p: odd p, p = 2 (mod 4), where the multiple is (1 - z^2)Q, and
+    # the caps on p and q
     symbols = admissible_symbols([*range(3, 13), INFINITY], range(3, 13))
+    symbols += [Schlafli(*pq) for pq in [(2001, 3), (2046, 3), (2048, 2048), (INFINITY, 2048)]]
     cases = [(derive(s).v, s) for s in symbols if s.is_tree or s.hyperbolic()]
     cases.append((gf_normalize(IntPoly([1, 2, 0, 0, 5]), IntPoly([1, -3])), Schlafli(4, 5)))
     for gf, s in cases:
         info = growth(gf, s)
         z0 = sum(info.z0_interval) / 2
-        assert info.amplitude == float(-gf.num(z0) / (z0 * gf.den.derivative()(z0))), s
+        assert info.amplitude == float(-gf.num(z0) / (z0 * poly_derivative(gf.den)(z0))), s
+
+
+def test_growth_evaluates_only_sparse_polynomials(monkeypatch):
+    # the sign tests and the amplitude evaluate sparse multiples of Q and P,
+    # never the dense P, Q or Q' of degree about p: every polynomial growth
+    # hands the evaluator has at most 6 terms, as derive's sparse forms do
+    sizes = []
+    sparse_eval = asymptotics._sparse_eval
+
+    def counting(f, a, b):
+        sizes.append(len(f))
+        return sparse_eval(f, a, b)
+
+    monkeypatch.setattr(asymptotics, "_sparse_eval", counting)
+    large = [Schlafli(*pq) for pq in LARGE_P_SYMBOLS + [(INFINITY, 2048)]]
+    for s in WIDE_HYPERBOLIC_GRID + large:
+        sizes.clear()
+        growth(derive(s).v, s)
+        assert len(sizes) == (2 if s.is_tree else 4) and max(sizes) <= 6, (s, sizes)
 
 
 @pytest.mark.parametrize("s", HYPERBOLIC_GRID, ids=str)
@@ -397,10 +424,10 @@ class TestCensusDenominatorRoot:
             lo, hi = _certify_smallest_root(q)
             assert sign_changes(chain, lo) == v0, s
             assert q(lo) > 0 > q(hi), s
-            mult = _multiples(q)[0]
+            _, mult = _multiples(q)[0]
             assert _rouche_disk(mult)[0] <= 8, s
             assert len(mult) == (6 if s.p % 2 and s.p > 3 else 4), s
-            terms = sum(1 for c in (IntPoly([1, -1]) * q).coeffs if c)
+            terms = sum(1 for c in poly_mul(IntPoly([1, -1]), q).coeffs if c)
             if s.p == 3 or s.p % 4 == 0:
                 assert terms <= 4, s
             else:

@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from conftest import admissible_symbols, cannon_wagreich, coxeter_growth, gf_normalize
+from conftest import admissible_symbols, cannon_wagreich, coxeter_growth, gf_normalize, poly_add, poly_mul
 from pqcensus import genfunc
 from pqcensus.genfunc import (
     CASE_EVEN,
@@ -206,10 +206,16 @@ def test_spherical_refused_everywhere(s):
 @pytest.mark.parametrize("s", GRID, ids=str)
 def test_class_sum_identity(s):
     c = derive(s)
-    scale = c.a.den * c.b.den * c.c.den
-    lhs = c.v.num * scale
-    rhs = c.v.den * (
-        scale + c.a.num * c.b.den * c.c.den + c.a.den * c.b.num * c.c.den + c.a.den * c.b.den * c.c.num
+    scale = poly_mul(c.a.den, c.b.den, c.c.den)
+    lhs = poly_mul(c.v.num, scale)
+    rhs = poly_mul(
+        c.v.den,
+        poly_add(
+            scale,
+            poly_mul(c.a.num, c.b.den, c.c.den),
+            poly_mul(c.a.den, c.b.num, c.c.den),
+            poly_mul(c.a.den, c.b.den, c.c.num),
+        ),
     )
     assert lhs == rhs
 
@@ -259,8 +265,8 @@ def reciprocal(gf) -> bool:
     Every census here has deg P <= deg Q (equal, in fact)."""
     p, q = gf.num, gf.den
     assert p.degree <= q.degree
-    left = IntPoly([0] * (q.degree - p.degree) + list(p.coeffs[::-1])) * q
-    return left == p * IntPoly(q.coeffs[::-1])
+    left = poly_mul(IntPoly([0] * (q.degree - p.degree) + list(p.coeffs[::-1])), q)
+    return left == poly_mul(p, IntPoly(q.coeffs[::-1]))
 
 
 def test_census_reciprocal_on_grid():
