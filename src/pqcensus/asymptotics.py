@@ -24,6 +24,7 @@ with their exact rate q - 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import nan
 from typing import NamedTuple
 
@@ -112,14 +113,21 @@ def _sparse_eval(f: dict[int, int], a: int, b: int) -> int:
 
     Homogeneous Horner's rule over the nonzero terms only: an exact integer
     with the sign of f(a/b) for b > 0, one power of a and one of b per gap
-    between terms.
+    between terms.  When b = 2^k, as at every point the sign tests probe,
+    the term i is scaled by b^(d - i) with one shift instead.
     """
-    last = max(f)
+    d = last = max(f)
+    k = b.bit_length() - 1
+    dyadic = b == 1 << k
     acc, bpow = 0, 1
     for i in sorted(f, reverse=True):
         gap = last - i
-        bpow *= b**gap
-        acc = acc * a**gap + f[i] * bpow
+        if dyadic:
+            term = f[i] << k * (d - i)
+        else:
+            bpow *= b**gap
+            term = f[i] * bpow
+        acc = acc * a**gap + term
         last = i
     return acc * a**last
 
@@ -130,9 +138,12 @@ def _times_one_minus(f: IntPoly, s: int) -> dict[int, int]:
     return {i: u - v for i, (u, v) in enumerate(zip(cs + (0,) * s, (0,) * s + cs)) if u != v}
 
 
+@lru_cache(maxsize=1)
 def _multiples(q: IntPoly) -> list[tuple[int, dict[int, int]]]:
     """The pairs (s, (1 - z^s) q) for s = 1 and 2, the multiple with fewer
-    terms first ((1 - z) q on a tie).
+    terms first ((1 - z) q on a tie).  The last q's pair is cached, since
+    ``growth`` asks for it twice, for the root and for the amplitude; no
+    caller changes it.
 
     For a census the first has at most 6 terms: it is the common denominator
     M of ``derive``, which divides M by 1 - z, or by 1 - z^2 for

@@ -56,10 +56,16 @@ they need: the builder after ball(depth), the census at the first
 generation holding an unsaturated vertex, ``distances`` never.  So the
 census visits only the ball one generation past the trusted depth, not the
 whole face closure the builder had to create around it (for {8,8} at depth
-5, about 22 thousand of 780 thousand vertices).  ``classify`` reuses that
-BFS; ``dump_map`` runs a full one through ``distances``.  The classifier is
-one table per derivation case (``Schlafli.case``) from a vertex's
-parent/sibling/cousin profile to its class.
+5, about 22 thousand of 780 thousand vertices).  The walk around a vertex
+that labels the next generation also counts the vertex's parents (its
+neighbors one generation nearer) and peers (in its own generation), and
+the census keeps those counts.  The classifier is one table per derivation
+case (``Schlafli.case``) from a vertex's parent/sibling/cousin profile to
+its class.  ``classify`` reads the class of a vertex with no peer from
+those counts alone; only a vertex with a peer, which may be a sibling or a
+cousin, takes a second walk (``vertex_profile``): every vertex on p = 3,
+and the candidates for the third class on odd p.  ``dump_map`` runs a full
+BFS through ``distances`` and profiles each trusted vertex.
 
 Storage is flat: five ``array('i')`` columns, origin and next per
 half-edge, degree, gap half-edge and one outgoing half-edge per vertex,
@@ -70,12 +76,14 @@ call.  A face takes a ``fromlist`` of a Python list built for it, and a
 leaf a single ``append``.  A row of faces takes one ``frombytes`` of its
 shape's template, an int whose lanes are the column's C ints, shifted to
 the row's first new ids by adding that id times an int of ones: a few
-big-int operations a column and no Python int per slot.  The map keeps
-each shape's template, which on large p, where one row holds millions of
-vertices, takes about 1.4 times the row's own slots.  Ids are C ints, so
-a map holds at most 2^31 - 1 half-edges, about 9 x 10^8 vertices, far
-past the 10^7 cap on the vertex budget; like ``fromlist``, a row checks
-that its last new ids fit before it writes.  Faces are not stored
+big-int operations a column and no Python int per slot.  A template takes
+about 1.4 times its row's own slots, and on large p one row holds millions
+of vertices, so the map keeps a shape's template only from the shape's
+second row on, and only while one more row of it fits in the budget: a
+kept template never holds more than its rows have written.  Ids are C
+ints, so a map holds at most 2^31 - 1 half-edges, about 9 x 10^8
+vertices, far past the 10^7 cap on the vertex budget; like ``fromlist``, a
+row checks that its last new ids fit before it writes.  Faces are not stored
 either: each closed face is a ``next`` cycle, and Euler's formula
 V - E + F = 1 for a disk counts them.
 Half-edges come in twin pairs, twin(h) = h ^ 1.  ``next`` runs along the
@@ -107,6 +115,11 @@ from pqcensus.genfunc import (
     Schlafli,
     SphericalOutOfScope,
 )
+
+
+# a census key counts a vertex's parents in its low 16 bits and its peers
+# above them; a walk has deg(v) <= q <= 2048 steps, so neither overflows
+_PEER = 1 << 16
 
 
 class BudgetExceeded(RuntimeError):
@@ -186,7 +199,7 @@ class PlanarMap:
         # the seed edge, a vertex is saturated exactly when this is -1
         self._v_gap = array("i", [-1])
         self._v_half = array("i", [-1])  # any outgoing half-edge
-        self._fans: dict[tuple[int, bool], _Fan] = {}  # row templates by shape (r, close)
+        self._fans: dict[tuple[int, bool], _Fan | None] = {}  # row templates by shape (r, close)
 
     # -- read-only surface ------------------------------------------------
 
@@ -235,42 +248,63 @@ class PlanarMap:
     def _unsaturated_in(self, level: list[int]) -> bool:
         return max(map(self._v_gap.__getitem__, level)) >= 0
 
-    def _levels(self, dist: list[int]) -> Iterator[list[int]]:
+    def _levels(self, dist: list[int]) -> Iterator[tuple[list[int], list[int]]]:
         """Yield the generations of a BFS from the origin, each labelled in
-        ``dist`` (all -1 on entry) before it is yielded.
+        ``dist`` (all -1 on entry) before it is yielded, with its keys.
 
-        A caller that stops early leaves the next generation unlabelled:
-        its vertices keep distance -1.  Each generation lists its vertices
-        in an order that every reader sorts or ignores.
+        The walk that labels generation d + 1 goes once around each vertex v
+        of generation d, and appends v's key to the list yielded with
+        generation d: v's parents (neighbors in generation d - 1) plus
+        ``_PEER`` times its peers (neighbors in generation d).  So a
+        generation's keys are complete once the caller asks for the next
+        generation.  A caller that stops early leaves the next generation
+        unlabelled: its vertices keep distance -1.  Each generation lists
+        its vertices in an order that every reader sorts or ignores.  A walk
+        takes deg(v) steps and must end where it began, or it raises.
         """
-        origin, nxt, half = self._he_origin, self._he_next, self._v_half
+        origin, nxt, half, deg = self._he_origin, self._he_next, self._v_half, self._v_deg
+        one_peer = _PEER
+        # the walk around v takes steps[deg(v)]: a shared range per degree
+        # is cheaper to iterate than a bound made for each vertex
+        steps = [range(k) for k in range(self.symbol.q + 1)]
         dist[0] = 0
         level = [0]
         d = 0
         while level:
-            yield level
+            keys = []
+            yield level, keys
             if not origin:  # a bare origin has no half-edge to walk
                 return
-            d += 1
+            e, d = d, d + 1
             grown = []
+            label, push = grown.append, keys.append
             for v in level:
                 # walk the rotation around v: next(twin(h)) is the next
                 # outgoing half-edge
+                key = 0
                 h0 = h = half[v]
-                while True:
+                for _ in steps[deg[v]]:
                     t = h ^ 1
                     w = origin[t]
-                    if dist[w] < 0:
+                    dw = dist[w]
+                    if dw < 0:
                         dist[w] = d
-                        grown.append(w)
+                        label(w)
+                    elif dw < e:
+                        key += 1
+                    elif dw == e:
+                        key += one_peer
                     h = nxt[t]
-                    if h == h0:
-                        break
+                if h != h0:
+                    raise RuntimeError(f"rotation walk around {v} does not close")
+                push(key)
             level = grown
 
     @cached_property
-    def _horizon(self) -> tuple[int, list[int], list[list[int]]]:
-        """Trusted depth t with the BFS that found it: (t, dist, levels).
+    def _horizon(self) -> tuple[int, list[int], list[list[int]], list[list[int]]]:
+        """Trusted depth t with the BFS that found it: (t, dist, levels, keys),
+        ``keys[d]`` holding the keys of ``levels[d]`` (see ``_levels``), in
+        the same order, for every d <= t.
 
         The BFS stops at the first generation holding an unsaturated vertex,
         so it labels exactly ball(t + 1) (ball(0) for an unsaturated origin).
@@ -278,12 +312,13 @@ class PlanarMap:
         is raised before a step changes the map).
         """
         dist = [-1] * self.vertex_count
-        levels = []
-        for level in self._levels(dist):
+        levels, keys = [], []
+        for level, level_keys in self._levels(dist):
             levels.append(level)
+            keys.append(level_keys)
             if self._unsaturated_in(level):
-                return max(0, len(levels) - 2), dist, levels
-        return len(levels) - 1, dist, levels
+                return max(0, len(levels) - 2), dist, levels, keys
+        return len(levels) - 1, dist, levels, keys
 
     # -- construction internals -------------------------------------------
 
@@ -352,8 +387,8 @@ class PlanarMap:
         The caller has checked that v and the tail u0 of the boundary edge
         e into v both have fewer than q edges.  The row's r = q - deg(v)
         faces and its closing face are laid out by ``_Fan``, one template
-        per shape (r, close) that the map builds the first time it meets
-        it; the row is that template shifted to the next free ids, with the
+        per shape (r, close), kept for reuse from the shape's second row on;
+        the row is that template shifted to the next free ids, with the
         few slots that hold older ids (v, u0, e, h_out, x, next(h_out))
         set afterwards.
 
@@ -385,7 +420,11 @@ class PlanarMap:
         close = x != u0 and deg[x] < q and nv1 + m - 1 <= self.budget
         fan = self._fans.get((r, close))
         if fan is None:
-            fan = self._fans[r, close] = _Fan(m, r, close)
+            # kept from the second row of its shape on, while one more row
+            # of it fits in the budget; the first row only marks the shape
+            fan = _Fan(m, r, close)
+            seen = (r, close) in self._fans
+            self._fans[r, close] = fan if seen and nv0 + 2 * fan.vertices <= self.budget else None
         h0 = len(origin)
         fan.write(origin, nxt, deg, self._v_half, gap, h0, nv0)
         # the slots that hold older ids: cs_j[0] runs out of v, ts_0[m] out
@@ -476,8 +515,8 @@ class PlanarMap:
         for _ in range(depth + 2):
             # unsaturated vertices within depth, nearest first, then by id; no
             # local holds the BFS, whose distance list is freed before the map grows
-            targets = [v for level in islice(self._levels([-1] * self.vertex_count), depth + 1)
-                       for v in sorted(level) if gap[v] >= 0]
+            targets = [v for level, _ in islice(self._levels([-1] * self.vertex_count), depth + 1)
+                       for v in sorted([u for u in level if gap[u] >= 0])]
             if not targets:
                 return
             self._saturate(targets)
@@ -622,7 +661,7 @@ def bfs_census(m: PlanarMap) -> CensusReport:
     it visits only the ball one generation past the trusted depth, not the
     whole face closure the builder created around it.
     """
-    trusted, _, levels = m._horizon
+    trusted, _, levels, _ = m._horizon
     return CensusReport(m.symbol, trusted, tuple(len(level) for level in levels[: trusted + 1]))
 
 
@@ -634,15 +673,16 @@ def vertex_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
     BFS, so a neighbor labelled earlier than v is one generation earlier; it
     may be truncated: a neighbor it never reached lies past v's generation
     and counts as a child, never as a parent.  Neighbors are read off the
-    rotation walk, v's once and each same-generation neighbor's at most once.
+    rotation walk, v's once and each same-generation neighbor's at most once;
+    a walk takes at most deg steps, and one that does not close raises.
     """
-    origin, nxt, half = m._he_origin, m._he_next, m._v_half
+    origin, nxt, half, deg = m._he_origin, m._he_next, m._v_half, m._v_deg
     d = dist[v]
     children = 0
     parents = []
     peers = []
     h0 = h = half[v]
-    while True:
+    for _ in range(deg[v]):
         t = h ^ 1
         w = origin[t]
         dw = dist[w]
@@ -653,21 +693,22 @@ def vertex_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
         else:
             peers.append(w)
         h = nxt[t]
-        if h == h0:
-            break
+    if h != h0:
+        raise RuntimeError(f"rotation walk around {v} does not close")
     fraternal = 0
     if peers:
         pset = set(parents)
         for w in peers:
             g0 = g = half[w]
-            while True:
+            for _ in range(deg[w]):
                 t = g ^ 1
                 if origin[t] in pset:
                     fraternal += 1
                     break
                 g = nxt[t]
-                if g == g0:
-                    break
+            else:
+                if g != g0:
+                    raise RuntimeError(f"rotation walk around {w} does not close")
     return VertexProfile(len(parents), children, fraternal, len(peers) - fraternal)
 
 
@@ -698,23 +739,27 @@ def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
     """Fill the per-class generation counts of a census report.
 
     Every non-origin vertex inside the trusted horizon must match one of
-    the expected profiles; anything else raises StructureViolation.  Reuses
-    the census BFS of ``bfs_census``, which labels every neighbor of the
-    trusted region.
+    the expected profiles; anything else raises StructureViolation for the
+    first such vertex in BFS order.  The census BFS of ``bfs_census``
+    counted each vertex's parents and peers as it walked it (``_levels``),
+    so a vertex with no peer has the profile (parents, deg - parents, 0, 0)
+    and is looked up from its key alone.  Only a vertex with a peer, which
+    may be a sibling or a cousin, takes a ``vertex_profile`` walk.
     """
-    trusted, dist, levels = m._horizon
+    trusted, dist, levels, keys = m._horizon
     t = report.trusted_depth
     if t > trusted:
         raise ValueError(f"report trusts depth {t}, but the map is saturated only to depth {trusted}")
-    a = [0] * (t + 1)
-    b = [0] * (t + 1)
-    c = [0] * (t + 1)
-    buckets = {"A": a, "B": b, "C": c}
+    counts = {"A": [0] * (t + 1), "B": [0] * (t + 1), "C": [0] * (t + 1)}
     table = _CLASSES[m.symbol.case]
     for d in range(1, t + 1):
-        for v in levels[d]:
-            buckets[_type_of(m, v, dist, table)][d] += 1
-    return report._replace(a=tuple(a), b=tuple(b), c=tuple(c))
+        for v, key in zip(levels[d], keys[d]):
+            if key >= _PEER:
+                tag = _type_of(m, v, dist, table)
+            elif (tag := table.get((key, 0, 0))) is None:
+                raise StructureViolation(v, d, VertexProfile(key, m.degree(v) - key, 0, 0))
+            counts[tag][d] += 1
+    return report._replace(a=tuple(counts["A"]), b=tuple(counts["B"]), c=tuple(counts["C"]))
 
 
 def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from pqcensus import INFINITY, Schlafli
 from pqcensus.genfunc import derive
-from pqcensus.oracle import _CLASSES, CensusReport, PlanarMap, VertexProfile, _type_of
+from pqcensus.oracle import _CLASSES, _PEER, CensusReport, PlanarMap, VertexProfile, _type_of
 from pqcensus.polyarith import ONE, ZERO, IntPoly, RationalGF
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
@@ -217,6 +217,24 @@ def reference_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
             else:
                 consortial += 1
     return VertexProfile(parents, children, fraternal, consortial)
+
+
+def assert_keys_match_reference(m: PlanarMap):
+    """The key that the census BFS keeps for every vertex of a trusted
+    generation (``_horizon``), its parents plus ``_PEER`` times its peers,
+    against ``reference_profile`` on the same truncated ``dist``; the
+    children that ``classify`` infers, deg - parents - peers, too."""
+    trusted, dist, levels, keys = m._horizon
+    for d in range(1, trusted + 1):
+        assert len(keys[d]) == len(levels[d]), d
+        for v, key in zip(levels[d], keys[d]):
+            prof = reference_profile(m, v, dist)
+            parents, peers = key % _PEER, key // _PEER
+            assert (parents, m.degree(v) - parents - peers, peers) == (
+                prof.parents,
+                prof.children,
+                prof.fraternal + prof.consortial,
+            ), v
 
 
 def reference_census(m: PlanarMap) -> CensusReport:

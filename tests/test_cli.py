@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gf_normalize
 from pqcensus import cli, oracle
-from pqcensus.genfunc import Schlafli, derive
+from pqcensus.genfunc import CASE_EVEN, Schlafli, derive
 from pqcensus.oracle import StructureViolation, VertexProfile
 from pqcensus.polyarith import IntPoly, series_coeffs
 from pqcensus.recurrence import rec_eval, rec_from_gf
@@ -276,19 +276,16 @@ class TestVerify:
         assert any(line.split()[2] == "O" for line in text.splitlines()[2:])
 
     def test_profile_violation_record(self, capsys, monkeypatch):
-        # a vertex whose neighborhood fits no class stops verify with exit 4
-        profile = oracle.vertex_profile
-
-        def orphan(m, v, dist):
-            return VertexProfile(0, 4, 0, 0) if v == 1 else profile(m, v, dist)
-
-        monkeypatch.setattr(oracle, "vertex_profile", orphan)
+        # a vertex whose neighborhood fits no class stops verify with exit 4:
+        # here {4,5} loses its one-parent class, and vertex 1 is the first
+        # one-parent vertex of generation 1
+        monkeypatch.setitem(oracle._CLASSES, CASE_EVEN, {(2, 0, 0): "B"})
         code, out = run(capsys, "verify", "4", "5", "--depth", "1")
         assert code == cli.EXIT_VIOLATION
         assert json.loads(out) == {
             "error": "StructureViolation",
             "message": "vertex 1 in generation 1 has profile "
-            "VertexProfile(parents=0, children=4, fraternal=0, consortial=0)",
+            "VertexProfile(parents=1, children=4, fraternal=0, consortial=0)",
         }
 
     def test_mismatch_record(self, capsys, monkeypatch):

@@ -1,11 +1,14 @@
 import hashlib
+import signal
 import tracemalloc
 from array import array
+from contextlib import contextmanager
 
 import pytest
 
 from conftest import (
     admissible_symbols,
+    assert_keys_match_reference,
     check_map_structure,
     face_cycles,
     face_extremes_audit,
@@ -14,6 +17,7 @@ from conftest import (
     reference_profile,
     type_of,
 )
+from pqcensus import oracle
 from pqcensus.genfunc import (
     CASE_EVEN,
     CASE_ODD,
@@ -25,6 +29,7 @@ from pqcensus.genfunc import (
     derive,
 )
 from pqcensus.oracle import (
+    _CLASSES,
     BudgetExceeded,
     PlanarMap,
     StructureViolation,
@@ -317,10 +322,12 @@ class TestBuildMap:
     def test_fan_is_face_by_face_gluing(self, monkeypatch):
         # every forced row of the grid's maps, glued one face at a time
         # instead of written from its template: the same five columns, id
-        # for id
+        # for id; every map but q = 3's, whose one row is vertex 1's,
+        # writes rows from a kept template
         grid = admissible_symbols(range(3, 9), range(3, 9))
         fanned = [build_map(s, 3) for s in grid]
         assert all(m._fans for m in fanned)
+        assert all(any(m._fans.values()) for m in fanned if m.symbol.q > 3)
         monkeypatch.setattr(PlanarMap, "_attach_fan", PlanarMap._attach_face)
         for s, m in zip(grid, fanned):
             assert columns(m) == columns(build_map(s, 3)), s
@@ -349,6 +356,27 @@ class TestBuildMap:
             if r < q - 1 and not close:
                 with pytest.raises(BudgetExceeded):
                     faces._attach_face(1)
+
+    def test_row_template_kept_from_second_row(self, monkeypatch):
+        # On {20,64} vertex 1 takes the one row of shape (62, close), and
+        # generation 1 takes rows of (61, close), of 1,115 new vertices
+        # each.  A shape's first row only marks it; its second keeps the
+        # template when one more row still fits: after two such rows the
+        # map holds 3,383 vertices, so a budget of 4,498 keeps it and 4,497
+        # does not.  Kept or not, the rows are glued face by face.
+        s = Schlafli(20, 64)
+        built = {}
+        for budget, kept in ((4497, False), (4498, True)):
+            with pytest.raises(BudgetExceeded) as exc:
+                build_map(s, 1, budget)
+            m = built[budget] = exc.value.partial_map
+            assert m._fans[62, True] is None
+            assert (m._fans[61, True] is not None) == kept
+        monkeypatch.setattr(PlanarMap, "_attach_fan", PlanarMap._attach_face)
+        for budget, m in built.items():
+            with pytest.raises(BudgetExceeded) as exc:
+                build_map(s, 1, budget)
+            assert columns(m) == columns(exc.value.partial_map), budget
 
     def test_row_ids_stay_c_ints(self):
         # ``fromlist`` refuses an id past 2^31 - 1, where ``frombytes``
@@ -531,6 +559,30 @@ class TestClassifierProfiles:
         assert lines[3] == " ".join([*row[:2], "?", *row[3:]])
         assert lines[:3] + lines[4:] == expected[:3] + expected[4:]
 
+    @pytest.mark.parametrize(
+        "pq, depth, cls",
+        [(pq, depth, cls) for pq, depth in [((INFINITY, 3), 3), ((3, 7), 3), ((4, 5), 3), ((5, 4), 4)]
+         for cls in _CLASSES[Schlafli(*pq).case]],
+        ids=str,
+    )
+    def test_classify_stops_at_first_violation(self, monkeypatch, pq, depth, cls):
+        # with one class struck from its table, classify raises for the
+        # first vertex of that class in BFS order, with its generation and
+        # full profile, whether a key or a walk classifies it
+        m = build_map(Schlafli(*pq), depth)
+        table = {k: tag for k, tag in _CLASSES[m.symbol.case].items() if k != cls}
+        trusted, dist, levels, _ = m._horizon
+        expected = next(
+            (v, d, prof)
+            for d in range(1, trusted + 1)
+            for v in levels[d]
+            if ((prof := reference_profile(m, v, dist)).parents, prof.fraternal, prof.consortial) == cls
+        )
+        monkeypatch.setitem(oracle._CLASSES, m.symbol.case, table)
+        with pytest.raises(StructureViolation) as exc:
+            classify(m, bfs_census(m))
+        assert (exc.value.vertex, exc.value.generation, exc.value.profile) == expected
+
 
 @pytest.mark.parametrize("pq", [pq for pq, _ in SAMPLE], ids=str)
 def test_census_and_classes_match_series(pq, sample_maps):
@@ -651,12 +703,46 @@ def test_equivalence_small_grid():
 def test_profile_walk_matches_reference(s):
     # the half-edge walk against the rotation tuples, on every vertex the
     # census BFS labels: ball(t + 1), whose outer generation has neighbors
-    # the truncated BFS never reached
+    # the truncated BFS never reached; and the keys that BFS kept
     m = build_map(s, 4)
-    _, dist, levels = m._horizon
+    _, dist, levels, _ = m._horizon
     for level in levels[1:]:
         for v in level:
             assert vertex_profile(m, v, dist) == reference_profile(m, v, dist), v
+    assert_keys_match_reference(m)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block after ``seconds``: a walk that never
+    closes fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("pq", [(4, 5), (3, 7), (INFINITY, 3)], ids=str)
+def test_broken_rotation_raises(pq):
+    # one ``next`` slot sends the walk around vertex 1 from its second
+    # outgoing half-edge h1 back to h1, a cycle without its first one: the
+    # census BFS and the profile walk each give up after deg(1) steps
+    m = build_map(Schlafli(*pq), 2)
+    dist = m.distances()
+    h1 = m._he_next[m._v_half[1] ^ 1]
+    m._he_next[h1 ^ 1] = h1
+    with deadline(5):
+        with pytest.raises(RuntimeError, match="walk around 1 does not close"):
+            vertex_profile(m, 1, dist)
+        with pytest.raises(RuntimeError, match="walk around 1 does not close"):
+            bfs_census(m)
 
 
 class TestBoundedCensus:
@@ -680,6 +766,7 @@ class TestBoundedCensus:
         ref = reference_census(m)
         assert exc.value.achieved_depth == ref.trusted_depth
         assert classify(m, bfs_census(m)) == ref
+        assert_keys_match_reference(m)
 
     @pytest.mark.parametrize(
         "pq,depth,step", [((8, 8), 2, 17), ((4, 5), 4, 5), ((3, 7), 4, 3), ((7, 3), 7, 3), ((12, 12), 1, 11)], ids=str
@@ -704,6 +791,7 @@ class TestBoundedCensus:
     def test_trees(self, q, depth):
         m = build_tree(q, depth)
         assert classify(m, bfs_census(m)) == reference_census(m)
+        assert_keys_match_reference(m)
 
     @pytest.mark.parametrize(
         "pq,budget",
@@ -729,7 +817,7 @@ class TestBoundedCensus:
         # the census BFS stops one generation past the trusted depth
         m, rep = sample_maps[(5, 4)]
         full = m.distances()
-        trusted, cut, _ = m._horizon
+        trusted, cut, _, _ = m._horizon
         edge = trusted + 1
         assert cut == [d if d <= edge else -1 for d in full]
         # neighbors the truncated BFS never reached are children, not parents
