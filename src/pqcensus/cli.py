@@ -272,7 +272,7 @@ def record_verify(cgf: CensusGF, depth: int, budget: int, dump: TextIO | None) -
         "first_mismatch": first_mismatch,
     }
     if dump is not None:
-        dump.write(oracle.dump_map(m, report))
+        dump.writelines(oracle.dump_lines(m, report))
     return rec, EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 

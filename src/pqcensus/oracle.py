@@ -56,16 +56,20 @@ they need: the builder after ball(depth), the census at the first
 generation holding an unsaturated vertex, ``distances`` never.  So the
 census visits only the ball one generation past the trusted depth, not the
 whole face closure the builder had to create around it (for {8,8} at depth
-5, about 22 thousand of 780 thousand vertices).  The walk around a vertex
-that labels the next generation also counts the vertex's parents (its
-neighbors one generation nearer) and peers (in its own generation), and
-the census keeps those counts.  The classifier is one table per derivation
-case (``Schlafli.case``) from a vertex's parent/sibling/cousin profile to
-its class.  ``classify`` reads the class of a vertex with no peer from
-those counts alone; only a vertex with a peer, which may be a sibling or a
-cousin, takes a second walk (``vertex_profile``): every vertex on p = 3,
-and the candidates for the third class on odd p.  ``dump_map`` runs a full
-BFS through ``distances`` and profiles each trusted vertex.
+5, about 22 thousand of 780 thousand vertices).
+
+The walk around a vertex v that labels the next generation also counts v's
+parents (neighbors one generation nearer) and peers (in its own
+generation) into its census key, which two properties of the tiling make
+v's whole profile.  A sibling, a peer that shares a parent with v, closes
+a triangle.  For p >= 4 the tiling has girth p, so every peer is a cousin.
+For p = 3 every face is a triangle, so a peer is a sibling exactly when
+its neighbor on either side in v's rotation is a parent, and on p = 3 the
+census walk counts those peers too.  The tests' reference profile finds
+siblings by their shared parents and checks both properties against the
+keys.  ``classify`` and ``dump_lines`` look each trusted vertex's key up
+in the table of its derivation case (``Schlafli.case``), with no second
+walk.
 
 Storage is flat: five ``array('i')`` columns, origin and next per
 half-edge, degree, gap half-edge and one outgoing half-edge per vertex,
@@ -117,9 +121,10 @@ from pqcensus.genfunc import (
 )
 
 
-# a census key counts a vertex's parents in its low 16 bits and its peers
-# above them; a walk has deg(v) <= q <= 2048 steps, so neither overflows
+# a census key counts a vertex's parents in its low 16 bits, its peers in the
+# next 16 and its siblings above; deg(v) <= q <= 2048, so none overflows
 _PEER = 1 << 16
+_SIB = 1 << 32
 
 
 class BudgetExceeded(RuntimeError):
@@ -236,9 +241,10 @@ class PlanarMap:
                 return (out[0], *out[:0:-1])
         raise RuntimeError(f"rotation walk around {v} does not close")
 
-    def distances(self) -> list[int]:
-        """Graph distance from the origin for every vertex (full BFS)."""
-        dist = [-1] * self.vertex_count
+    def distances(self) -> array:
+        """Graph distance from the origin for every vertex (full BFS), in a
+        C-int array, as is each generation the BFS holds: 4 bytes a vertex."""
+        dist = array("i", [-1]) * self.vertex_count
         for _ in self._levels(dist):
             pass
         return dist
@@ -248,22 +254,32 @@ class PlanarMap:
     def _unsaturated_in(self, level: list[int]) -> bool:
         return max(map(self._v_gap.__getitem__, level)) >= 0
 
-    def _levels(self, dist: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    def _levels(self, dist: list[int] | array, siblings: bool = False) -> Iterator[tuple[list[int] | array, list[int]]]:
         """Yield the generations of a BFS from the origin, each labelled in
         ``dist`` (all -1 on entry) before it is yielded, with its keys.
 
         The walk that labels generation d + 1 goes once around each vertex v
         of generation d, and appends v's key to the list yielded with
         generation d: v's parents (neighbors in generation d - 1) plus
-        ``_PEER`` times its peers (neighbors in generation d).  So a
-        generation's keys are complete once the caller asks for the next
-        generation.  A caller that stops early leaves the next generation
-        unlabelled: its vertices keep distance -1.  Each generation lists
-        its vertices in an order that every reader sorts or ignores.  A walk
-        takes deg(v) steps and must end where it began, or it raises.
+        ``_PEER`` times its peers (neighbors in generation d), and with
+        ``siblings`` ``_SIB`` times its siblings.  So a generation's keys
+        are complete once the caller asks for the next generation.  A caller
+        that stops early leaves the next generation unlabelled: its vertices
+        keep distance -1.  Each generation lists its vertices in an order
+        that every reader sorts or ignores, in a sequence of dist's type: a
+        list, which the walk reads fastest, or a C-int array, 4 bytes a
+        vertex.  A walk takes deg(v) steps and must end where it began, or
+        it raises.
+
+        ``siblings`` is for p = 3 alone, and only the census asks for it: a
+        peer's test costs nothing on a step to a parent or a child.  For the
+        half-edge h from v to a peer, the heads of next(h) and next(twin(h))
+        are the neighbors before and after it in v's rotation, as the faces
+        on either side are triangles; on the boundary one is not, but no
+        reader reads an unsaturated vertex's key.
         """
         origin, nxt, half, deg = self._he_origin, self._he_next, self._v_half, self._v_deg
-        one_peer = _PEER
+        one_peer, one_sib = _PEER, _SIB
         # the walk around v takes steps[deg(v)]: a shared range per degree
         # is cheaper to iterate than a bound made for each vertex
         steps = [range(k) for k in range(self.symbol.q + 1)]
@@ -276,11 +292,11 @@ class PlanarMap:
             if not origin:  # a bare origin has no half-edge to walk
                 return
             e, d = d, d + 1
-            grown = []
+            grown = dist[:0]
             label, push = grown.append, keys.append
+            # walk the rotation around each v: next(twin(h)) is the next
+            # outgoing half-edge
             for v in level:
-                # walk the rotation around v: next(twin(h)) is the next
-                # outgoing half-edge
                 key = 0
                 h0 = h = half[v]
                 for _ in steps[deg[v]]:
@@ -294,6 +310,8 @@ class PlanarMap:
                         key += 1
                     elif dw == e:
                         key += one_peer
+                        if siblings and (-1 < dist[origin[nxt[h] ^ 1]] < e or -1 < dist[origin[nxt[t] ^ 1]] < e):
+                            key += one_sib
                     h = nxt[t]
                 if h != h0:
                     raise RuntimeError(f"rotation walk around {v} does not close")
@@ -301,24 +319,24 @@ class PlanarMap:
             level = grown
 
     @cached_property
-    def _horizon(self) -> tuple[int, list[int], list[list[int]], list[list[int]]]:
-        """Trusted depth t with the BFS that found it: (t, dist, levels, keys),
+    def _horizon(self) -> tuple[int, list[list[int]], list[list[int]]]:
+        """Trusted depth t with the BFS that found it: (t, levels, keys),
         ``keys[d]`` holding the keys of ``levels[d]`` (see ``_levels``), in
         the same order, for every d <= t.
 
         The BFS stops at the first generation holding an unsaturated vertex,
-        so it labels exactly ball(t + 1) (ball(0) for an unsaturated origin).
-        Computed once: no code reads it while the map grows (BudgetExceeded
-        is raised before a step changes the map).
+        so it labels exactly ball(t + 1) (ball(0) for an unsaturated origin);
+        its distance list, a slot per vertex, is not kept.  Computed once: no
+        code reads it while the map grows (BudgetExceeded is raised before a
+        step changes the map).
         """
-        dist = [-1] * self.vertex_count
         levels, keys = [], []
-        for level, level_keys in self._levels(dist):
+        for level, level_keys in self._levels([-1] * self.vertex_count, self.symbol.p == 3):
             levels.append(level)
             keys.append(level_keys)
             if self._unsaturated_in(level):
-                return max(0, len(levels) - 2), dist, levels, keys
-        return len(levels) - 1, dist, levels, keys
+                return max(0, len(levels) - 2), levels, keys
+        return len(levels) - 1, levels, keys
 
     # -- construction internals -------------------------------------------
 
@@ -661,55 +679,8 @@ def bfs_census(m: PlanarMap) -> CensusReport:
     it visits only the ball one generation past the trusted depth, not the
     whole face closure the builder created around it.
     """
-    trusted, _, levels, _ = m._horizon
+    trusted, levels, _ = m._horizon
     return CensusReport(m.symbol, trusted, tuple(len(level) for level in levels[: trusted + 1]))
-
-
-def vertex_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
-    """Parent/child/sibling/cousin census of v's neighborhood.
-
-    Same-generation neighbors sharing a parent with v are fraternal
-    (siblings); the rest are consortial (cousins).  ``dist`` comes from a
-    BFS, so a neighbor labelled earlier than v is one generation earlier; it
-    may be truncated: a neighbor it never reached lies past v's generation
-    and counts as a child, never as a parent.  Neighbors are read off the
-    rotation walk, v's once and each same-generation neighbor's at most once;
-    a walk takes at most deg steps, and one that does not close raises.
-    """
-    origin, nxt, half, deg = m._he_origin, m._he_next, m._v_half, m._v_deg
-    d = dist[v]
-    children = 0
-    parents = []
-    peers = []
-    h0 = h = half[v]
-    for _ in range(deg[v]):
-        t = h ^ 1
-        w = origin[t]
-        dw = dist[w]
-        if dw < 0 or dw > d:
-            children += 1
-        elif dw < d:
-            parents.append(w)
-        else:
-            peers.append(w)
-        h = nxt[t]
-    if h != h0:
-        raise RuntimeError(f"rotation walk around {v} does not close")
-    fraternal = 0
-    if peers:
-        pset = set(parents)
-        for w in peers:
-            g0 = g = half[w]
-            for _ in range(deg[w]):
-                t = g ^ 1
-                if origin[t] in pset:
-                    fraternal += 1
-                    break
-                g = nxt[t]
-            else:
-                if g != g0:
-                    raise RuntimeError(f"rotation walk around {w} does not close")
-    return VertexProfile(len(parents), children, fraternal, len(peers) - fraternal)
 
 
 # (parents, fraternal, consortial) -> class, one table per case; children are
@@ -724,15 +695,25 @@ _CLASSES = {
 }
 
 
-def _type_of(m: PlanarMap, v: int, dist: list[int], table: dict[tuple[int, int, int], str]) -> str:
-    """Classify one saturated non-origin vertex as A, B or C by looking its
-    profile up in ``table``, its case's ``_CLASSES`` entry; unexpected
-    profiles raise StructureViolation."""
-    prof = vertex_profile(m, v, dist)
-    tag = table.get((prof.parents, prof.fraternal, prof.consortial))
-    if tag is None:
-        raise StructureViolation(v, dist[v], prof)
-    return tag
+def _profile(m: PlanarMap, v: int, key: int) -> VertexProfile:
+    """The profile that v's census key records: its children are the rest
+    of its neighbors."""
+    parents, peers, fraternal = key % _PEER, key // _PEER % _PEER, key // _SIB
+    return VertexProfile(parents, m.degree(v) - parents - peers, fraternal, peers - fraternal)
+
+
+def _trusted(m: PlanarMap, report: CensusReport | None) -> tuple[int, dict[int, str]]:
+    """The depth that report trusts, m's horizon without one, and the
+    ``_CLASSES`` table of m's case keyed by the census key of each profile
+    (see ``PlanarMap._levels``).  A report deeper than the horizon raises
+    ValueError."""
+    trusted = m._horizon[0]
+    t = trusted if report is None else report.trusted_depth
+    if t > trusted:
+        raise ValueError(f"report trusts depth {t}, but the map is saturated only to depth {trusted}")
+    classes = _CLASSES[m.symbol.case].items()
+    return t, {parents + _PEER * (fraternal + consortial) + _SIB * fraternal: tag
+               for (parents, fraternal, consortial), tag in classes}
 
 
 def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
@@ -740,48 +721,50 @@ def classify(m: PlanarMap, report: CensusReport) -> CensusReport:
 
     Every non-origin vertex inside the trusted horizon must match one of
     the expected profiles; anything else raises StructureViolation for the
-    first such vertex in BFS order.  The census BFS of ``bfs_census``
-    counted each vertex's parents and peers as it walked it (``_levels``),
-    so a vertex with no peer has the profile (parents, deg - parents, 0, 0)
-    and is looked up from its key alone.  Only a vertex with a peer, which
-    may be a sibling or a cousin, takes a ``vertex_profile`` walk.
+    first such vertex in BFS order.  Each vertex is looked up by the key
+    that the census BFS kept for it, its whole profile (``_levels``).
     """
-    trusted, dist, levels, keys = m._horizon
-    t = report.trusted_depth
-    if t > trusted:
-        raise ValueError(f"report trusts depth {t}, but the map is saturated only to depth {trusted}")
+    t, table = _trusted(m, report)
+    _, levels, keys = m._horizon
     counts = {"A": [0] * (t + 1), "B": [0] * (t + 1), "C": [0] * (t + 1)}
-    table = _CLASSES[m.symbol.case]
     for d in range(1, t + 1):
         for v, key in zip(levels[d], keys[d]):
-            if key >= _PEER:
-                tag = _type_of(m, v, dist, table)
-            elif (tag := table.get((key, 0, 0))) is None:
-                raise StructureViolation(v, d, VertexProfile(key, m.degree(v) - key, 0, 0))
+            tag = table.get(key)
+            if tag is None:
+                raise StructureViolation(v, d, _profile(m, v, key))
             counts[tag][d] += 1
     return report._replace(a=tuple(counts["A"]), b=tuple(counts["B"]), c=tuple(counts["C"]))
 
 
+def dump_lines(m: PlanarMap, report: CensusReport | None = None) -> Iterator[str]:
+    """The lines of ``dump_map``, each with its newline, made one at a time.
+
+    A trusted vertex is tagged by its census key, as ``classify`` counts
+    it, or ``?`` where its profile fits no class; a report deeper than the
+    map's horizon raises ValueError at the call.  Besides the map and its
+    census, the dump holds a tag byte a vertex and the C-int arrays of
+    ``distances``.
+    """
+    t, table = _trusted(m, report)
+    _, levels, keys = m._horizon
+    tags = bytearray(b"-") * m.vertex_count
+    tags[0] = ord("O")
+    for d in range(1, t + 1):
+        for v, key in zip(levels[d], keys[d]):
+            tags[v] = ord(table.get(key, "?"))
+
+    def lines() -> Iterator[str]:
+        yield f"# map p={m.symbol.p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={t}\n"
+        yield "# vertex generation type degree neighbors-in-rotation-order\n"
+        dist = m.distances()
+        for v in range(m.vertex_count):
+            rot = " ".join(map(str, m.rotation(v)))
+            yield f"{v} {dist[v]} {tags[v]:c} {m.degree(v)} {rot}".rstrip() + "\n"
+
+    return lines()
+
+
 def dump_map(m: PlanarMap, report: CensusReport | None = None) -> str:
-    """Line-oriented adjacency dump: one vertex per line with generation,
-    class tag, degree and neighbors in rotation order."""
-    dist = m.distances()
-    trusted = report.trusted_depth if report is not None else m._horizon[0]
-    table = _CLASSES[m.symbol.case]
-    lines = [
-        f"# map p={m.symbol.p} q={m.symbol.q} vertices={m.vertex_count} trusted_depth={trusted}",
-        "# vertex generation type degree neighbors-in-rotation-order",
-    ]
-    for v in range(m.vertex_count):
-        if v == 0:
-            tag = "O"
-        elif dist[v] <= trusted:
-            try:
-                tag = _type_of(m, v, dist, table)
-            except StructureViolation:
-                tag = "?"
-        else:
-            tag = "-"
-        rot = " ".join(str(w) for w in m.rotation(v))
-        lines.append(f"{v} {dist[v]} {tag} {m.degree(v)} {rot}".rstrip())
-    return "\n".join(lines) + "\n"
+    """Line-oriented adjacency dump, ``dump_lines`` joined: one vertex per
+    line with generation, class tag, degree and neighbors in rotation order."""
+    return "".join(dump_lines(m, report))

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from pqcensus import INFINITY, Schlafli
 from pqcensus.genfunc import derive
-from pqcensus.oracle import _CLASSES, _PEER, CensusReport, PlanarMap, VertexProfile, _type_of
+from pqcensus.oracle import _CLASSES, CensusReport, PlanarMap, StructureViolation, VertexProfile, _profile
 from pqcensus.polyarith import ONE, ZERO, IntPoly, RationalGF
 from pqcensus.recurrence import LinRec, rec_eval, rec_from_gf
 
@@ -187,17 +187,37 @@ def latest_vertex_face_audit(m: PlanarMap, trusted: int, types: dict[int, str], 
 
 
 def type_of(m: PlanarMap, v: int, dist: list[int]) -> str:
-    """``_type_of`` with the table of m's case, as ``classify`` passes it."""
-    return _type_of(m, v, dist, _CLASSES[m.symbol.case])
+    """v's class: its ``reference_profile`` looked up in the ``_CLASSES``
+    table of m's case, raising StructureViolation as ``classify`` does,
+    with no classifier code of the library."""
+    prof = reference_profile(m, v, dist)
+    tag = _CLASSES[m.symbol.case].get((prof.parents, prof.fraternal, prof.consortial))
+    if tag is None:
+        raise StructureViolation(v, dist[v], prof)
+    return tag
+
+
+def census_distances(m: PlanarMap) -> list[int]:
+    """The distances that the census BFS labels: those of ball(t + 1) from
+    its levels (``_horizon``), and -1 past it."""
+    dist = [-1] * m.vertex_count
+    for d, level in enumerate(m._horizon[1]):
+        for v in level:
+            dist[v] = d
+    return dist
 
 
 def reference_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
-    """``vertex_profile`` from neighbor tuples: v's parent set is built from
-    its ``rotation``, and each same-generation neighbor w is a sibling when
-    ``rotation(w)`` holds a vertex of that set.
+    """v's profile from neighbor tuples: v's parent set is built from its
+    ``rotation``, and each same-generation neighbor w is a sibling when
+    ``rotation(w)`` holds a vertex of that set.  ``dist`` may be full or
+    truncated: a neighbor it never reached lies past v's generation and
+    counts as a child.
 
-    ``vertex_profile`` walks the half-edges instead and must agree with
-    this exactly, on a full or a truncated ``dist``.
+    Siblings are found by their shared parents, so this assumes neither of
+    the tiling's properties that the census keys rest on: that a p >= 4
+    tiling has no siblings, and that on p = 3 a peer is a sibling exactly
+    when it is next to a parent in v's rotation.
     """
     d = dist[v]
     parents = children = fraternal = consortial = 0
@@ -221,20 +241,21 @@ def reference_profile(m: PlanarMap, v: int, dist: list[int]) -> VertexProfile:
 
 def assert_keys_match_reference(m: PlanarMap):
     """The key that the census BFS keeps for every vertex of a trusted
-    generation (``_horizon``), its parents plus ``_PEER`` times its peers,
-    against ``reference_profile`` on the same truncated ``dist``; the
-    children that ``classify`` infers, deg - parents - peers, too."""
-    trusted, dist, levels, keys = m._horizon
+    generation (``_horizon``), decoded into the profile it records, its
+    sibling field and the children that the rest of the degree gives
+    included, against ``reference_profile`` on the same truncated
+    distances.  On p >= 4 and on trees, where the keys count no siblings,
+    the reference must find none: the tiling's girth is p."""
+    trusted, levels, keys = m._horizon
+    dist = census_distances(m)
+    triangle_free = m.symbol.is_tree or m.symbol.p >= 4
     for d in range(1, trusted + 1):
         assert len(keys[d]) == len(levels[d]), d
         for v, key in zip(levels[d], keys[d]):
             prof = reference_profile(m, v, dist)
-            parents, peers = key % _PEER, key // _PEER
-            assert (parents, m.degree(v) - parents - peers, peers) == (
-                prof.parents,
-                prof.children,
-                prof.fraternal + prof.consortial,
-            ), v
+            assert _profile(m, v, key) == prof, v
+            if triangle_free:
+                assert prof.fraternal == 0, v
 
 
 def reference_census(m: PlanarMap) -> CensusReport:

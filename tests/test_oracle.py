@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     admissible_symbols,
     assert_keys_match_reference,
+    census_distances,
     check_map_structure,
     face_cycles,
     face_extremes_audit,
@@ -30,17 +31,20 @@ from pqcensus.genfunc import (
 )
 from pqcensus.oracle import (
     _CLASSES,
+    _PEER,
+    _SIB,
     BudgetExceeded,
     PlanarMap,
     StructureViolation,
     VertexProfile,
     _Fan,
+    _profile,
     bfs_census,
     build_map,
     build_tree,
     classify,
+    dump_lines,
     dump_map,
-    vertex_profile,
 )
 from pqcensus.polyarith import series_coeffs
 
@@ -144,13 +148,18 @@ class TestBuildMap:
         assert rep.v[:4] == (1, 4, 8, 12)
 
     def test_first_generation_profile_heptagonal(self):
+        # each vertex of the first ring has the origin for its parent and
+        # its two ring neighbors for siblings, in its census key as in the
+        # reference profile
         m = build_map(Schlafli(3, 7), 1)
         dist = m.distances()
         ring1 = [v for v in range(m.vertex_count) if dist[v] == 1]
         assert len(ring1) == 7
-        for v in ring1:
+        _, levels, keys = m._horizon
+        assert sorted(levels[1]) == ring1
+        for v, key in zip(levels[1], keys[1]):
             assert m.degree(v) == 7 and m._v_gap[v] < 0
-            assert vertex_profile(m, v, dist) == VertexProfile(1, 4, 2, 0)
+            assert _profile(m, v, key) == reference_profile(m, v, dist) == VertexProfile(1, 4, 2, 0)
 
     def test_pentagonal_census_matches_series(self):
         m = build_map(Schlafli(5, 4), 4)
@@ -517,42 +526,48 @@ PROFILE_TAGS = {
 }
 
 
-class TestClassifierProfiles:
-    """``type_of`` decides a vertex's class from its profile alone; a
-    profile that fits no class raises, and ``dump_map`` tags the vertex
-    ``?`` instead."""
+def set_key(m, v, profile):
+    """Give vertex v of the census the key that the BFS counts for
+    ``profile``; its children are the rest of its degree."""
+    parents, _, fraternal, consortial = profile
+    _, levels, keys = m._horizon
+    d = next(d for d, level in enumerate(levels) if v in level)
+    keys[d][levels[d].index(v)] = parents + _PEER * (fraternal + consortial) + _SIB * fraternal
 
-    @pytest.fixture(scope="class")
-    def maps(self):
-        return {pq: build_map(Schlafli(*pq), 1) for pq in PROFILE_TAGS}
+
+class TestClassifierProfiles:
+    """``classify`` decides a vertex's class from the profile its census key
+    records alone; a profile that fits no class raises, and ``dump_map``
+    tags the vertex ``?`` instead.  Vertex 1 of generation 1 is given each
+    profile through its key."""
 
     @pytest.mark.parametrize(
         "pq, profile", [(pq, prof) for pq, tags in PROFILE_TAGS.items() for prof in tags], ids=str
     )
-    def test_profile(self, maps, monkeypatch, pq, profile):
-        m = maps[pq]
-        dist = m.distances()
-        monkeypatch.setattr("pqcensus.oracle.vertex_profile", lambda *args: VertexProfile(*profile))
+    def test_profile(self, pq, profile):
+        m = build_map(Schlafli(*pq), 1)
+        rep = bfs_census(m)
+        set_key(m, 1, profile)
         tag = PROFILE_TAGS[pq][profile]
+        row = dump_map(m, rep).splitlines()[3].split()
+        assert row[:3] == ["1", "1", tag or "?"]
         if tag is None:
             with pytest.raises(StructureViolation) as exc:
-                type_of(m, 1, dist)
+                classify(m, rep)
             assert (exc.value.vertex, exc.value.generation) == (1, 1)
             assert exc.value.profile == VertexProfile(*profile)
         else:
-            assert type_of(m, 1, dist) == tag
+            # the other q - 1 vertices of generation 1 are of class A
+            got = classify(m, rep)
+            counts = {"A": got.a[1], "B": got.b[1], "C": got.c[1]}
+            assert counts == {k: (pq[1] - 1) * (k == "A") + (k == tag) for k in "ABC"}
 
     @pytest.mark.parametrize("pq", list(PROFILE_TAGS), ids=str)
-    def test_dump_marks_violation(self, maps, monkeypatch, pq):
-        m = maps[pq]
+    def test_dump_marks_violation(self, pq):
+        m = build_map(Schlafli(*pq), 1)
         rep = bfs_census(m)
         expected = dump_map(m, rep).splitlines()
-        profile = vertex_profile
-
-        def orphan(m, v, dist):
-            return VertexProfile(0, pq[1], 0, 0) if v == 1 else profile(m, v, dist)
-
-        monkeypatch.setattr("pqcensus.oracle.vertex_profile", orphan)
+        set_key(m, 1, (0, pq[1], 0, 0))
         lines = dump_map(m, rep).splitlines()
         row = expected[3].split()
         assert row[:3] == ["1", "1", "A"]
@@ -568,10 +583,11 @@ class TestClassifierProfiles:
     def test_classify_stops_at_first_violation(self, monkeypatch, pq, depth, cls):
         # with one class struck from its table, classify raises for the
         # first vertex of that class in BFS order, with its generation and
-        # full profile, whether a key or a walk classifies it
+        # full profile
         m = build_map(Schlafli(*pq), depth)
         table = {k: tag for k, tag in _CLASSES[m.symbol.case].items() if k != cls}
-        trusted, dist, levels, _ = m._horizon
+        trusted, levels, _ = m._horizon
+        dist = census_distances(m)
         expected = next(
             (v, d, prof)
             for d in range(1, trusted + 1)
@@ -684,6 +700,21 @@ class TestDump:
         text = dump_map(m)
         assert text.startswith("# map p=inf q=3")
 
+    def test_dump_streams(self):
+        # the dump is made a line at a time: besides the map and its census
+        # it holds a tag byte and a C-int distance a vertex, and the full
+        # BFS one generation at a time, never its lines
+        m = build_or_partial((8, 8), 3)
+        rep = classify(m, bfs_census(m))
+        tracemalloc.start()
+        try:
+            size = sum(map(len, dump_lines(m, rep)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(dump_map(m, rep)) > 20 * m.vertex_count
+        assert peak <= 16 * m.vertex_count, f"{peak / m.vertex_count:.1f} bytes a vertex"
+
 
 def test_equivalence_small_grid():
     # quick cross-check over the small end of the admissible grid
@@ -701,14 +732,17 @@ def test_equivalence_small_grid():
 
 @pytest.mark.parametrize("s", admissible_symbols(range(3, 9), range(3, 9)), ids=str)
 def test_profile_walk_matches_reference(s):
-    # the half-edge walk against the rotation tuples, on every vertex the
-    # census BFS labels: ball(t + 1), whose outer generation has neighbors
-    # the truncated BFS never reached; and the keys that BFS kept
-    m = build_map(s, 4)
-    _, dist, levels, _ = m._horizon
-    for level in levels[1:]:
-        for v in level:
-            assert vertex_profile(m, v, dist) == reference_profile(m, v, dist), v
+    # the profiles that the census walk's keys record, against the rotation
+    # tuples, on every trusted vertex
+    assert_keys_match_reference(build_map(s, 4))
+
+
+@pytest.mark.parametrize("q", [9, 16, 40], ids=str)
+def test_wide_triangle_keys_match_reference(q):
+    # p = 3 past the grid: the siblings next to a parent in each rotation
+    # of up to 40 neighbors
+    m = build_map(Schlafli(3, q), 2)
+    assert m._horizon[0] == 2
     assert_keys_match_reference(m)
 
 
@@ -733,16 +767,17 @@ def deadline(seconds: int):
 def test_broken_rotation_raises(pq):
     # one ``next`` slot sends the walk around vertex 1 from its second
     # outgoing half-edge h1 back to h1, a cycle without its first one: the
-    # census BFS and the profile walk each give up after deg(1) steps
+    # census BFS and the dump's full BFS each give up after deg(1) steps
     m = build_map(Schlafli(*pq), 2)
-    dist = m.distances()
     h1 = m._he_next[m._v_half[1] ^ 1]
     m._he_next[h1 ^ 1] = h1
     with deadline(5):
         with pytest.raises(RuntimeError, match="walk around 1 does not close"):
-            vertex_profile(m, 1, dist)
-        with pytest.raises(RuntimeError, match="walk around 1 does not close"):
             bfs_census(m)
+        with pytest.raises(RuntimeError, match="walk around 1 does not close"):
+            m.distances()
+        with pytest.raises(RuntimeError, match="walk around 1 does not close"):
+            dump_map(m)
 
 
 class TestBoundedCensus:
@@ -817,10 +852,26 @@ class TestBoundedCensus:
         # the census BFS stops one generation past the trusted depth
         m, rep = sample_maps[(5, 4)]
         full = m.distances()
-        trusted, cut, _, _ = m._horizon
+        trusted, levels, keys = m._horizon
         edge = trusted + 1
+        cut = census_distances(m)
         assert cut == [d if d <= edge else -1 for d in full]
-        # neighbors the truncated BFS never reached are children, not parents
-        for v in range(m.vertex_count):
-            if full[v] == edge:
-                assert vertex_profile(m, v, cut) == vertex_profile(m, v, full) == reference_profile(m, v, cut)
+        # the walk out of the trusted depth labels the edge as it goes, and
+        # counts its neighbors there as children; neighbors the truncated
+        # BFS never reached are children, not parents
+        for v, key in zip(levels[trusted], keys[trusted]):
+            assert _profile(m, v, key) == reference_profile(m, v, full), v
+        for v in levels[edge]:
+            assert reference_profile(m, v, cut) == reference_profile(m, v, full), v
+
+    def test_dump_report_deeper_than_map(self):
+        # {5,5} cut by a budget of 3000 is saturated to depth 3; a report
+        # that claims depth 5 would have the dump tag 918 vertices past it
+        m = build_or_partial((5, 5), 6, 3000)
+        rep = bfs_census(m)
+        assert rep.trusted_depth == 3
+        deeper = rep._replace(trusted_depth=5)
+        # dump_lines refuses at the call, before a line is asked for
+        for call in (classify, dump_lines, dump_map):
+            with pytest.raises(ValueError, match="report trusts depth 5, but the map is saturated only to depth 3"):
+                call(m, deeper)
